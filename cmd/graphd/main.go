@@ -3,8 +3,8 @@
 // graphrules engine. Every connection gets an engine session: queries
 // stream record-by-record under client flow control, pass governor
 // admission, and run under the configured row/memory/deadline budgets;
-// explicit transactions (BEGIN/COMMIT/ROLLBACK) are single-writer with
-// snapshot rollback.
+// explicit transactions (BEGIN/COMMIT/ROLLBACK) are single-writer and
+// commit as one epoch that other connections see only once committed.
 //
 // Usage:
 //

@@ -268,8 +268,9 @@ type (
 	// QuerySession is a stateful query channel over one executor: Run
 	// returns a QueryCursor streaming records as the engine produces
 	// them, and Begin/Commit/Rollback bracket explicit single-writer
-	// transactions with snapshot rollback. One in-flight cursor at a
-	// time; not safe for concurrent use.
+	// transactions that commit as one epoch, unseen by other sessions
+	// until then. One in-flight cursor at a time; not safe for
+	// concurrent use.
 	QuerySession = cypher.Session
 	// QueryCursor iterates one result set: Next / Record / Columns /
 	// Err / Close / Summary. Closing early cancels the producing query.

@@ -8,7 +8,9 @@ package bolt
 // the load harness uses.
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"net"
 )
 
@@ -23,9 +25,13 @@ func (e *ServerFailure) Error() string {
 	return fmt.Sprintf("bolt: server failure %s: %s", e.Code, e.Message)
 }
 
-// Client drives one Bolt connection. Not safe for concurrent use.
+// Client drives one Bolt connection. Not safe for concurrent use. Reads
+// go through a buffer, so a stream of small RECORD messages costs one
+// read syscall per buffer fill rather than several per record; writes go
+// straight to the connection, one per request message.
 type Client struct {
 	nc    net.Conn
+	br    *bufio.Reader
 	enc   Encoder
 	buf   []byte
 	Major byte
@@ -49,11 +55,15 @@ func Dial(addr string) (*Client, error) {
 // NewClient performs the client handshake on an existing connection
 // (e.g. one end of a net.Pipe for in-process tests).
 func NewClient(nc net.Conn) (*Client, error) {
-	major, minor, err := clientHandshake(nc)
+	br := bufio.NewReader(nc)
+	major, minor, err := clientHandshake(struct {
+		io.Reader
+		io.Writer
+	}{br, nc})
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{nc: nc, Major: major, Minor: minor}
+	c := &Client{nc: nc, br: br, Major: major, Minor: minor}
 	c.enc.V5 = major >= 5
 	return c, nil
 }
@@ -69,7 +79,7 @@ func (c *Client) Send(tag byte, fields ...any) error {
 
 // Recv reads one response message.
 func (c *Client) Recv() (Structure, error) {
-	payload, err := readMessage(c.nc, c.buf)
+	payload, err := readMessage(c.br, c.buf)
 	if err != nil {
 		return Structure{}, err
 	}

@@ -213,18 +213,41 @@ func TestServerExplicitTx(t *testing.T) {
 	g := boltGraph(0)
 	c, srv := startServer(t, cypher.NewExecutor(g))
 
-	// BEGIN … COMMIT persists.
+	// A second connection reads while the transaction is open.
+	nc, peer := net.Pipe()
+	go srv.ServeConn(peer)
+	reader, err := NewClient(nc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
+	if _, err := reader.Hello("reader"); err != nil {
+		t.Fatal(err)
+	}
+	readP := func() int64 {
+		t.Helper()
+		_, recs, err := reader.RunAll(`MATCH (p:P) RETURN count(*) AS n`, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return recs[0][0].(int64)
+	}
+
+	// BEGIN … COMMIT persists; the reader sees nothing until COMMIT.
 	if err := c.Begin(); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := c.RunAll(`CREATE (p:P {k: 1})`, nil); err != nil {
 		t.Fatal(err)
 	}
+	if n := readP(); n != 0 {
+		t.Fatalf("second connection saw %d P nodes in an open transaction, want 0", n)
+	}
 	if err := c.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(g.NodesWithLabel("P")); n != 1 {
-		t.Fatalf("committed P nodes = %d, want 1", n)
+	if n := readP(); n != 1 {
+		t.Fatalf("second connection saw %d committed P nodes, want 1", n)
 	}
 
 	// BEGIN … ROLLBACK undoes.

@@ -271,9 +271,14 @@ type Executor struct {
 	admission     Admission
 
 	// txMu serializes explicit transactions (session.go): an open
-	// Session transaction holds it exclusively, and auto-commit mutating
-	// queries take it shared, so a transaction's captured write set is
-	// exactly its own writes. Read-only queries never touch it.
+	// Session transaction holds it exclusively from its fork at Begin to
+	// its one-epoch commit, and auto-commit mutating queries take it
+	// shared, so no executor write lands between the two and the commit
+	// replays onto the state the transaction read. Readers never see a
+	// transaction's uncommitted writes, and a rollback publishes nothing;
+	// an auto-commit statement that mutates many rows publishes one epoch
+	// per mutation and is not atomic if killed mid-way. Read-only queries
+	// never touch it.
 	txMu sync.RWMutex
 
 	planMu    sync.Mutex
@@ -479,21 +484,22 @@ func (ex *Executor) ExecuteCtx(cctx context.Context, q *Query, params map[string
 		}
 		defer func() { done(err) }()
 	}
-	return ex.executeProtected(cctx, q, params, nil)
+	return ex.executeProtected(cctx, nil, q, params, nil)
 }
 
 // executeProtected runs a query under the panic-recovery and
 // budget-stamping defers but outside admission: ExecuteCtx admits first,
 // and a Session's streaming run admits synchronously at Run before handing
-// execution to the cursor goroutine (see session.go).
-func (ex *Executor) executeProtected(cctx context.Context, q *Query, params map[string]graph.Value, sink *streamSink) (res *Result, err error) {
+// execution to the cursor goroutine (see session.go). fork is the open
+// transaction's private graph, or nil outside a transaction.
+func (ex *Executor) executeProtected(cctx context.Context, fork *graph.Graph, q *Query, params map[string]graph.Value, sink *streamSink) (res *Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = recoverToError(p)
 		}
 		finishExhausted(err, res)
 	}()
-	return ex.executeGoverned(cctx, q, params, sink)
+	return ex.executeGoverned(cctx, fork, q, params, sink)
 }
 
 // executeGoverned is the body of ExecuteCtx, after admission and under
@@ -501,15 +507,20 @@ func (ex *Executor) executeProtected(cctx context.Context, q *Query, params map[
 // the query matches the streaming plan, result rows are emitted to the
 // sink incrementally instead of materializing in res.Rows (see stream.go);
 // otherwise the query materializes as usual and the caller drains res.Rows.
-func (ex *Executor) executeGoverned(cctx context.Context, q *Query, params map[string]graph.Value, sink *streamSink) (*Result, error) {
-	// Under WithSnapshotPin, a read-only query resolves the graph once to
-	// the current epoch's frozen snapshot: the whole scan — serial, sharded
-	// or morsel-stolen — observes exactly one epoch even while writers
-	// commit concurrently. Mutating queries stay on the live graph (their
-	// writes must publish, and execSet/execDelete need read-your-writes).
-	eg := ex.g
-	if ex.snapshotPin && !QueryMutates(q) {
-		eg = ex.g.Snapshot()
+func (ex *Executor) executeGoverned(cctx context.Context, fork *graph.Graph, q *Query, params map[string]graph.Value, sink *streamSink) (*Result, error) {
+	// A transaction's statements read and write its fork, which no other
+	// session sees. Otherwise, under WithSnapshotPin, a read-only query
+	// resolves the graph once to the current epoch's frozen snapshot: the
+	// whole scan — serial, sharded or morsel-stolen — observes exactly one
+	// epoch even while writers commit concurrently. Mutating queries stay
+	// on the live graph (their writes must publish, and
+	// execSet/execDelete need read-your-writes).
+	eg := fork
+	if eg == nil {
+		eg = ex.g
+		if ex.snapshotPin && !QueryMutates(q) {
+			eg = ex.g.Snapshot()
+		}
 	}
 	m := &matcher{g: eg, pushdown: !ex.noPushdown, bud: ex.newBudget()}
 	if cctx != nil && cctx != context.Background() {
@@ -1791,7 +1802,7 @@ func (ex *Executor) createPart(ctx *evalCtx, part *PatternPart, r Row, st *Stats
 				props[k] = d.Scalar()
 			}
 		}
-		n := ex.g.AddNode(np.Labels, props)
+		n := ctx.g.AddNode(np.Labels, props)
 		st.NodesCreated++
 		if np.Var != "" {
 			r[np.Var] = NodeDatum(n)
@@ -1831,7 +1842,7 @@ func (ex *Executor) createPart(ctx *evalCtx, part *PatternPart, r Row, st *Stats
 		if rp.Direction == DirIn {
 			from, to = next, prev
 		}
-		edge, err := ex.g.AddEdge(from.ID, to.ID, rp.Types, props)
+		edge, err := ctx.g.AddEdge(from.ID, to.ID, rp.Types, props)
 		if err != nil {
 			return err
 		}
@@ -1868,7 +1879,7 @@ func (ex *Executor) execSet(ctx *evalCtx, cl *SetClause, in []Row, st *Stats) ([
 		for _, item := range cl.Items {
 			// Several rows may bind the same entity; an earlier row's write
 			// superseded the struct this row captured during MATCH.
-			refreshGraphBindings(ex.g, r)
+			refreshGraphBindings(ctx.g, r)
 			d, ok := r[item.Target]
 			if !ok {
 				return nil, execErrf("SET: variable `%s` not defined", item.Target)
@@ -1880,7 +1891,7 @@ func (ex *Executor) execSet(ctx *evalCtx, cl *SetClause, in []Row, st *Stats) ([
 				if d.Node == nil {
 					return nil, execErrf("SET: labels require a node")
 				}
-				if err := ex.g.AddNodeLabels(d.Node.ID, item.Labels...); err != nil {
+				if err := ctx.g.AddNodeLabels(d.Node.ID, item.Labels...); err != nil {
 					return nil, err
 				}
 				st.LabelsAdded += len(item.Labels)
@@ -1892,11 +1903,11 @@ func (ex *Executor) execSet(ctx *evalCtx, cl *SetClause, in []Row, st *Stats) ([
 			}
 			switch {
 			case d.Node != nil:
-				if err := ex.g.SetNodeProp(d.Node.ID, item.Key, vd.Scalar()); err != nil {
+				if err := ctx.g.SetNodeProp(d.Node.ID, item.Key, vd.Scalar()); err != nil {
 					return nil, err
 				}
 			case d.Edge != nil:
-				if err := ex.g.SetEdgeProp(d.Edge.ID, item.Key, vd.Scalar()); err != nil {
+				if err := ctx.g.SetEdgeProp(d.Edge.ID, item.Key, vd.Scalar()); err != nil {
 					return nil, err
 				}
 			default:
@@ -1908,7 +1919,7 @@ func (ex *Executor) execSet(ctx *evalCtx, cl *SetClause, in []Row, st *Stats) ([
 	// Rebind every row to the final post-write structs so RETURN (and any
 	// later clause) observes all writes, matching pre-COW semantics.
 	for _, r := range in {
-		refreshGraphBindings(ex.g, r)
+		refreshGraphBindings(ctx.g, r)
 	}
 	return in, nil
 }
@@ -1935,16 +1946,16 @@ func (ex *Executor) execDelete(ctx *evalCtx, cl *DeleteClause, in []Row, st *Sta
 		}
 	}
 	for id := range delEdges {
-		ex.g.RemoveEdge(id)
+		ctx.g.RemoveEdge(id)
 		st.EdgesDeleted++
 	}
 	for id := range delNodes {
-		deg := ex.g.OutDegree(id) + ex.g.InDegree(id)
+		deg := ctx.g.OutDegree(id) + ctx.g.InDegree(id)
 		if deg > 0 && !cl.Detach {
 			return nil, execErrf("cannot DELETE node %d with relationships; use DETACH DELETE", id)
 		}
 		st.EdgesDeleted += deg
-		ex.g.RemoveNode(id)
+		ctx.g.RemoveNode(id)
 		st.NodesDeleted++
 	}
 	return in, nil

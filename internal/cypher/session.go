@@ -22,20 +22,20 @@ package cypher
 // Transactions: Begin takes the Executor's transaction lock exclusively,
 // making explicit transactions single-writer across every session of the
 // Executor; auto-commit mutating runs take it shared so they pair freely
-// with each other but never interleave with an open transaction. Writes
-// inside a transaction apply to the live graph immediately (readers on
-// other sessions observe them — read-uncommitted, documented in
-// DESIGN.md); Commit just publishes by releasing the lock, while
-// Rollback compensates: every entity touched by the transaction (tracked
-// via the graph's OnCommit deltas) is removed and its pre-transaction
-// state restored from the Begin-time snapshot under the original IDs
-// (graph.RestoreNode/RestoreEdge). Isolation holds only among writers
-// that share the Executor (or at least its transaction lock).
+// with each other but never interleave with an open transaction. Begin
+// forks a private copy-on-write view of the graph (graph.Fork) and the
+// transaction's statements run against the fork, so readers on other
+// sessions — and OnCommit subscribers such as the WAL and
+// metrics.Maintainer — never see uncommitted writes. Commit replays the
+// fork's ops on the live graph as one graph.Batch: one epoch, one Delta,
+// one WAL commit marker, all or nothing. Rollback drops the fork and
+// publishes nothing. An auto-commit statement is not covered: one that
+// mutates many rows publishes one epoch per mutation, and is not atomic
+// if it is killed mid-way.
 
 import (
 	"context"
 	"errors"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -61,17 +61,13 @@ type Session struct {
 	closed bool
 }
 
-// sessionTx is one open explicit transaction: the Begin-time snapshot,
-// the commit-delta subscription capturing touched entity IDs, and the
+// sessionTx is one open explicit transaction: the private fork its
+// statements run on, the ops committed on the fork so far, and the
 // exclusive transaction-lock release.
 type sessionTx struct {
-	snap      *graph.Graph
-	cancelSub func()
-	unlock    func()
-
-	mu    sync.Mutex // guards nodes/edges: OnCommit runs on the committing goroutine
-	nodes map[graph.ID]bool
-	edges map[graph.ID]bool
+	fork   *graph.Graph
+	ops    []graph.Op
+	unlock func()
 }
 
 // OpenSession opens a session over the executor. Sessions share the
@@ -133,8 +129,12 @@ func (s *Session) Run(cctx context.Context, src string, params map[string]graph.
 	}
 	s.cur = c
 
+	var fork *graph.Graph
+	if s.tx != nil {
+		fork = s.tx.fork
+	}
 	go func() {
-		res, rerr := s.ex.executeProtected(ctx, q, params, c.sink)
+		res, rerr := s.ex.executeProtected(ctx, fork, q, params, c.sink)
 		if res != nil {
 			res.Exec.PlanCacheHit = hit
 		}
@@ -174,8 +174,7 @@ func (s *Session) finishCursorLocked() {
 
 // Begin opens an explicit transaction: it acquires the executor's
 // transaction lock exclusively (honoring ctx while queueing behind other
-// writers), snapshots the graph for rollback, and subscribes to commit
-// deltas to track the transaction's write set.
+// writers) and forks the graph for the transaction's statements.
 func (s *Session) Begin(cctx context.Context) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -190,30 +189,20 @@ func (s *Session) Begin(cctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	tx := &sessionTx{
-		snap:   s.ex.g.Snapshot(),
-		unlock: unlock,
-		nodes:  map[graph.ID]bool{},
-		edges:  map[graph.ID]bool{},
-	}
-	tx.cancelSub = s.ex.g.OnCommit(func(d *graph.Delta) {
-		tx.mu.Lock()
-		for _, id := range d.Nodes {
-			tx.nodes[id] = true
-		}
-		for _, id := range d.Edges {
-			tx.edges[id] = true
-		}
-		tx.mu.Unlock()
-	})
+	tx := &sessionTx{fork: s.ex.g.Fork(), unlock: unlock}
+	// Statements run one at a time (each cursor finishes before the next
+	// run or Commit), so the log needs no lock of its own.
+	tx.fork.OnCommit(func(d *graph.Delta) { tx.ops = append(tx.ops, d.Ops...) })
 	s.tx = tx
 	return nil
 }
 
-// Commit publishes the open transaction. Writes were applied to the live
-// graph as they executed, so commit is release-only: drop the delta
-// subscription and the exclusive lock. An unfinished cursor is closed
-// first so no transaction statement is still executing at release.
+// Commit applies the open transaction's writes to the live graph as one
+// Batch, so they publish as one epoch; a transaction that wrote nothing
+// publishes nothing. If the batch fails validation — a direct graph
+// mutator, which bypasses the transaction lock, removed an entity the
+// transaction wrote — nothing is applied and the error is returned. The
+// transaction is over either way. An unfinished cursor is closed first.
 func (s *Session) Commit() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -223,16 +212,18 @@ func (s *Session) Commit() error {
 	s.finishCursorLocked()
 	tx := s.tx
 	s.tx = nil
-	tx.cancelSub()
-	tx.unlock()
-	return nil
+	defer tx.unlock()
+	if len(tx.ops) == 0 {
+		return nil
+	}
+	b := s.ex.g.NewBatch()
+	b.Replay(tx.ops...)
+	_, err := b.Commit()
+	return err
 }
 
-// Rollback undoes the open transaction: every entity its statements
-// touched is removed and the pre-transaction state restored from the
-// Begin-time snapshot, under the original IDs. The compensation commits
-// as ordinary epochs, so WAL and other subscribers log a consistent
-// history.
+// Rollback discards the open transaction: the fork is dropped and the
+// live graph never saw its writes.
 func (s *Session) Rollback() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -240,12 +231,9 @@ func (s *Session) Rollback() error {
 		return ErrNoTx
 	}
 	s.finishCursorLocked()
-	tx := s.tx
+	s.tx.unlock()
 	s.tx = nil
-	tx.cancelSub()
-	err := s.ex.rollbackTx(tx)
-	tx.unlock()
-	return err
+	return nil
 }
 
 // InTx reports whether the session has an open explicit transaction.
@@ -265,87 +253,11 @@ func (s *Session) Close() error {
 	}
 	s.closed = true
 	s.finishCursorLocked()
-	if tx := s.tx; tx != nil {
+	if s.tx != nil {
+		s.tx.unlock()
 		s.tx = nil
-		tx.cancelSub()
-		err := s.ex.rollbackTx(tx)
-		tx.unlock()
-		return err
 	}
 	return nil
-}
-
-// rollbackTx compensates one transaction's writes. Touched nodes are
-// removed (cascading their current edges), then pre-transaction nodes
-// are restored before edges so endpoints always exist. Untouched
-// pre-transaction edges incident to a touched node are cascaded by the
-// removal step, so they are restored too.
-func (ex *Executor) rollbackTx(tx *sessionTx) error {
-	g := ex.g
-	snap := tx.snap
-	tx.mu.Lock()
-	nodes := sortedIDs(tx.nodes)
-	edges := sortedIDs(tx.edges)
-	tx.mu.Unlock()
-
-	restoreEdges := map[graph.ID]bool{}
-	for _, id := range edges {
-		if snap.Edge(id) != nil {
-			restoreEdges[id] = true
-		}
-	}
-	for _, id := range nodes {
-		if snap.Node(id) == nil {
-			continue
-		}
-		for _, eid := range snap.OutEdges(id) {
-			restoreEdges[eid] = true
-		}
-		for _, eid := range snap.InEdges(id) {
-			restoreEdges[eid] = true
-		}
-	}
-
-	for _, id := range nodes {
-		if g.Node(id) != nil {
-			g.RemoveNode(id)
-		}
-	}
-	for _, id := range edges {
-		if g.Edge(id) != nil {
-			g.RemoveEdge(id)
-		}
-	}
-
-	var firstErr error
-	for _, id := range nodes {
-		n := snap.Node(id)
-		if n == nil {
-			continue
-		}
-		if err := g.RestoreNode(n); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for _, id := range sortedIDs(restoreEdges) {
-		e := snap.Edge(id)
-		if e == nil || g.Edge(id) != nil {
-			continue
-		}
-		if err := g.RestoreEdge(e); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-func sortedIDs(m map[graph.ID]bool) []graph.ID {
-	ids := make([]graph.ID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // lockTx acquires the executor's transaction lock (shared or exclusive)

@@ -235,8 +235,8 @@ func TestSessionTxRollbackCreate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := len(ex.g.NodesWithLabel("P")); n != 2 {
-		t.Fatalf("pre-rollback: %d P nodes (read-uncommitted writes should be live)", n)
+	if n := len(ex.g.NodesWithLabel("P")); n != 0 {
+		t.Fatalf("pre-rollback: %d P nodes on the live graph (uncommitted writes must not be live)", n)
 	}
 	if err := s.Rollback(); err != nil {
 		t.Fatal(err)
@@ -273,8 +273,11 @@ func TestSessionTxRollbackSetAndDelete(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if g.Node(b.ID) != nil {
-		t.Fatalf("delete did not apply in-tx")
+	if n := countRows(t, s, `MATCH (x:A) RETURN x.v AS v`); n != 1 {
+		t.Fatalf("in-tx read: %d A nodes, want 1 (delete did not apply in-tx)", n)
+	}
+	if g.Node(b.ID) == nil {
+		t.Fatalf("uncommitted delete reached the live graph")
 	}
 	if err := s.Rollback(); err != nil {
 		t.Fatal(err)

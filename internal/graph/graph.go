@@ -89,8 +89,10 @@ type Graph struct {
 	nodes map[ID]*Node
 	edges map[ID]*Edge
 
-	nextNodeID atomic.Int64
-	nextEdgeID atomic.Int64
+	// ids allocates node and edge IDs. A Fork shares its parent's
+	// counters, so an ID reserved on a fork never collides with one
+	// reserved on the live graph.
+	ids *idCounters
 
 	// MVCC epoch machinery (mvcc.go). commitMu serializes writers and
 	// ordered delta delivery; epoch counts committed write epochs; snap
@@ -131,10 +133,15 @@ type Graph struct {
 	ordRows    atomic.Int64 // rows returned by range seeks (stats)
 }
 
+type idCounters struct {
+	node, edge atomic.Int64
+}
+
 // New returns an empty graph with the given name.
 func New(name string) *Graph {
 	return &Graph{
 		name:         name,
+		ids:          &idCounters{},
 		nodes:        make(map[ID]*Node),
 		edges:        make(map[ID]*Edge),
 		out:          make(map[ID][]ID),
@@ -161,7 +168,7 @@ func (g *Graph) AddNode(labels []string, props Props) *Node {
 // publish it. ID reservation is atomic so batches can allocate without the
 // graph lock.
 func (g *Graph) newNode(labels []string, props Props) *Node {
-	id := ID(g.nextNodeID.Add(1) - 1)
+	id := ID(g.ids.node.Add(1) - 1)
 	n := &Node{ID: id, Labels: dedupe(labels), Props: props.Clone()}
 	if n.Props == nil {
 		n.Props = Props{}
@@ -209,7 +216,7 @@ func (g *Graph) AddEdge(from, to ID, labels []string, props Props) (*Edge, error
 // newEdge builds an edge struct with a freshly reserved ID; labels must
 // already be deduped and non-empty. It does not publish the edge.
 func (g *Graph) newEdge(from, to ID, labels []string, props Props) *Edge {
-	id := ID(g.nextEdgeID.Add(1) - 1)
+	id := ID(g.ids.edge.Add(1) - 1)
 	e := &Edge{ID: id, From: from, To: to, Labels: labels, Props: props.Clone()}
 	if e.Props == nil {
 		e.Props = Props{}

@@ -13,14 +13,19 @@ package graph
 // a scan that runs entirely against a snapshot observes one epoch no
 // matter how many writers commit mid-scan.
 //
+// A Fork is the same shallow copy left mutable: a private view that an
+// explicit transaction writes to, whose ops later commit on the live graph
+// as one Batch (see internal/cypher's Session).
+//
 // Invariants making the sharing safe:
 //
 //   - published *Node/*Edge structs are never mutated (copy-on-write swap);
 //   - published []ID slices are never written in place: removals allocate
-//     (removeID), and appends only ever write past a snapshot's fixed
-//     length;
-//   - a snapshot copies the top-level maps, so key insertions/deletions on
-//     the live graph are invisible to it.
+//     (removeID), and a view's copies are capacity-clipped, so an append
+//     on a fork reallocates and an append on the live graph writes only
+//     past the view's length;
+//   - a view copies the top-level maps, so key insertions/deletions on
+//     either side are invisible to the other.
 
 import (
 	"fmt"
@@ -274,15 +279,28 @@ func (g *Graph) Snapshot() *Graph {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.snap == nil {
-		g.snap = g.buildSnapshotLocked()
+		g.snap = g.buildSnapshotLocked(true)
 	}
 	return g.snap
 }
 
-func (g *Graph) buildSnapshotLocked() *Graph {
+// Fork returns a private, mutable copy-on-write view of the graph at the
+// current epoch. Writes to the fork commit epochs on the fork only; the
+// live graph never sees them. Node and edge IDs are reserved from the
+// live graph's counters, so the fork's committed ops (gathered with
+// OnCommit on the fork) can be replayed on the live graph with
+// Batch.Replay, and dropping the fork just leaves a gap in the IDs.
+func (g *Graph) Fork() *Graph {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.buildSnapshotLocked(false)
+}
+
+func (g *Graph) buildSnapshotLocked(frozen bool) *Graph {
 	s := &Graph{
 		name:         g.name,
-		frozen:       true,
+		frozen:       frozen,
+		ids:          g.ids,
 		nodes:        make(map[ID]*Node, len(g.nodes)),
 		edges:        make(map[ID]*Edge, len(g.edges)),
 		out:          make(map[ID][]ID, len(g.out)),
@@ -297,19 +315,17 @@ func (g *Graph) buildSnapshotLocked() *Graph {
 		s.edges[id] = e
 	}
 	for id, ids := range g.out {
-		s.out[id] = ids
+		s.out[id] = ids[:len(ids):len(ids)]
 	}
 	for id, ids := range g.in {
-		s.in[id] = ids
+		s.in[id] = ids[:len(ids):len(ids)]
 	}
 	for l, ids := range g.nodesByLabel {
-		s.nodesByLabel[l] = ids
+		s.nodesByLabel[l] = ids[:len(ids):len(ids)]
 	}
 	for l, ids := range g.edgesByType {
-		s.edgesByType[l] = ids
+		s.edgesByType[l] = ids[:len(ids):len(ids)]
 	}
-	s.nextNodeID.Store(g.nextNodeID.Load())
-	s.nextEdgeID.Store(g.nextEdgeID.Load())
 	s.epoch.Store(g.epoch.Load())
 	return s
 }
@@ -391,6 +407,14 @@ func (b *Batch) RemoveNode(id ID) {
 // RemoveEdge buffers an edge removal; missing edges are a no-op.
 func (b *Batch) RemoveEdge(id ID) {
 	b.ops = append(b.ops, Op{Kind: OpRemoveEdge, ID: id})
+}
+
+// Replay buffers ops committed on a Fork of this graph, in their commit
+// order. Added nodes and edges keep the structs and IDs the fork
+// published them with; Commit validates every op against the graph as
+// it is then, like any other buffered op.
+func (b *Batch) Replay(ops ...Op) {
+	b.ops = append(b.ops, ops...)
 }
 
 func (b *Batch) setErr(err error) {

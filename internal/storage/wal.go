@@ -665,22 +665,7 @@ type RecoveryInfo struct {
 //     records whose marker never hit the disk are discarded. (A log
 //     truncated before its first marker therefore recovers empty — it is
 //     indistinguishable from an epoch that never committed.)
-//
-// For legacy marker-less WALs — where every record was its own commit —
-// use RecoverReplayLegacy, which applies the entire well-formed prefix.
 func RecoverReplay(name string, r io.Reader) (*graph.Graph, RecoveryInfo, error) {
-	return recoverReplay(name, r, false)
-}
-
-// RecoverReplayLegacy recovers a marker-less WAL written before epoch
-// markers existed: the longest well-formed prefix is applied in full, a
-// torn tail is dropped. Do not use it on marker-bearing logs — it would
-// resurrect uncommitted trailing records.
-func RecoverReplayLegacy(name string, r io.Reader) (*graph.Graph, RecoveryInfo, error) {
-	return recoverReplay(name, r, true)
-}
-
-func recoverReplay(name string, r io.Reader, legacy bool) (*graph.Graph, RecoveryInfo, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, RecoveryInfo{}, fmt.Errorf("storage: recover: %w", err)
@@ -708,18 +693,14 @@ func recoverReplay(name string, r io.Reader, legacy bool) (*graph.Graph, Recover
 	}
 
 	// Everything after the last commit marker is an unacknowledged (hence
-	// uncommitted) tail — unless this is a legacy marker-less log, where
-	// every record was its own commit.
-	keep := recs
-	if !legacy {
-		lastMarker := -1
-		for i, rec := range recs {
-			if rec.Op == OpCommit {
-				lastMarker = i
-			}
+	// uncommitted) tail.
+	lastMarker := -1
+	for i, rec := range recs {
+		if rec.Op == OpCommit {
+			lastMarker = i
 		}
-		keep = recs[:lastMarker+1]
 	}
+	keep := recs[:lastMarker+1]
 	info.Discarded = len(recs) - len(keep)
 
 	g := graph.New(name)

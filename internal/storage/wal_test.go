@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/graphrules/graphrules/internal/cypher"
 	"github.com/graphrules/graphrules/internal/graph"
 )
 
@@ -297,6 +299,71 @@ func TestCrashRecoveryEveryOffset(t *testing.T) {
 	}
 }
 
+// TestCrashRecoveryTxAllOrNothing runs a multi-statement explicit
+// transaction (BEGIN; CREATE; CREATE; SET; COMMIT) through a cypher
+// session on a WAL-attached graph, cuts the log at every byte offset, and
+// asserts each recovered graph holds either all of the transaction or
+// none of it.
+func TestCrashRecoveryTxAllOrNothing(t *testing.T) {
+	var buf bytes.Buffer
+	g := graph.New("tx")
+	defer AttachWAL(g, NewWAL(&buf))()
+	g.AddNode([]string{"Base"}, nil)
+
+	ctx := context.Background()
+	s := cypher.NewExecutor(g).OpenSession()
+	defer s.Close()
+	if err := s.Begin(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		`CREATE (a:P {k: 1})`,
+		`CREATE (b:P {k: 2})`,
+		`MATCH (p:P) SET p.done = 1`,
+	} {
+		c, err := s.Run(ctx, q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c.Next() {
+		}
+		if _, err := c.Summary(); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	if ends := committedPrefixEnds(t, data); len(ends) != 2 {
+		t.Fatalf("log has %d commit markers, want 2 (the base node and the transaction)", len(ends))
+	}
+
+	seen := map[string]bool{}
+	for cut := 0; cut <= len(data); cut++ {
+		rg, _, err := RecoverReplay("tx", bytes.NewReader(data[:cut]))
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		done := 0
+		for _, id := range rg.NodesWithLabel("P") {
+			if rg.Node(id).Prop("done").Int() == 1 {
+				done++
+			}
+		}
+		state := fmt.Sprintf("nodes=%d P=%d done=%d", rg.NodeCount(), len(rg.NodesWithLabel("P")), done)
+		switch state {
+		case "nodes=0 P=0 done=0", "nodes=1 P=0 done=0", "nodes=3 P=2 done=2":
+			seen[state] = true
+		default:
+			t.Fatalf("cut %d: recovered part of the transaction: %s", cut, state)
+		}
+	}
+	if len(seen) != 3 {
+		t.Fatalf("recovered states %v, want empty, base only and the whole transaction", seen)
+	}
+}
+
 // TestRecoverReplayMidFileCorruption flips bytes mid-log: recovery keeps
 // the committed prefix before the corrupt line and discards the rest.
 func TestRecoverReplayMidFileCorruption(t *testing.T) {
@@ -319,25 +386,6 @@ func TestRecoverReplayMidFileCorruption(t *testing.T) {
 	}
 	if renderGraph(t, g) != renderGraph(t, want) {
 		t.Error("recovery after corruption != committed prefix before it")
-	}
-}
-
-// TestRecoverReplayLegacyLog: a marker-less log (every record its own
-// commit) recovers the whole well-formed prefix, torn fragment dropped.
-func TestRecoverReplayLegacyLog(t *testing.T) {
-	legacy := `{"op":"add-node","id":0,"labels":["N"],"props":{"x":1}}
-{"op":"add-node","id":1,"labels":["N"]}
-{"op":"add-edge","id":0,"from":0,"to":1,"labels":["R"]}
-{"op":"add-node","id":2,"la`
-	g, info, err := RecoverReplayLegacy("legacy", bytes.NewReader([]byte(legacy)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.Torn || info.Applied != 3 {
-		t.Fatalf("legacy recovery: %+v", info)
-	}
-	if g.NodeCount() != 2 || g.EdgeCount() != 1 {
-		t.Fatalf("legacy graph: %d nodes %d edges", g.NodeCount(), g.EdgeCount())
 	}
 }
 
