@@ -175,7 +175,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 			if _, err := fmt.Sscanf(strings.TrimPrefix(line, "shard "), "%d", &n); err != nil {
 				fmt.Fprintln(out, "error: shard requires an integer worker count")
 			} else {
-				ex.SetShardWorkers(n)
+				cypher.WithShardWorkers(n)(ex)
 				fmt.Fprintf(out, "shard workers: %d\n", ex.ShardWorkerCount())
 			}
 			continue

@@ -211,8 +211,6 @@ var (
 	// WithRangePushdown toggles ordered-index range seeks for inequality,
 	// interval and STARTS WITH predicates.
 	WithRangePushdown = cypher.WithRangePushdown
-	// WithCountFastPath toggles the count(*) shortcut.
-	WithCountFastPath = cypher.WithCountFastPath
 	// WithPlanCacheCap bounds the prepared-plan cache (0 disables it).
 	WithPlanCacheCap = cypher.WithPlanCacheCap
 	// WithSnapshotPin pins each read-only query to the epoch current at

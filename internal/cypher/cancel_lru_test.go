@@ -14,8 +14,7 @@ import (
 // touching an entry protects it and the least-recently-used entry is the
 // one evicted.
 func TestPlanCacheLRUEviction(t *testing.T) {
-	ex := NewExecutor(socialGraph())
-	ex.SetPlanCacheCap(2)
+	ex := NewExecutor(socialGraph(), WithPlanCacheCap(2))
 
 	q1 := `MATCH (u:User) RETURN count(*) AS n`
 	q2 := `MATCH (t:Tweet) RETURN count(*) AS n`
@@ -73,7 +72,7 @@ func TestPlanCacheCapShrink(t *testing.T) {
 		}
 	}
 
-	ex.SetPlanCacheCap(1)
+	WithPlanCacheCap(1)(ex)
 	st := ex.PlanCacheStats()
 	if st.Entries != 1 || st.Cap != 1 || st.Evictions != 3 {
 		t.Fatalf("after shrink: %+v, want entries=1 cap=1 evictions=3", st)
@@ -88,7 +87,7 @@ func TestPlanCacheCapShrink(t *testing.T) {
 	}
 
 	// Restoring the default cap re-enables growth.
-	ex.SetPlanCacheCap(0)
+	WithPlanCacheCap(0)(ex)
 	if st := ex.PlanCacheStats(); st.Cap != planCacheLimit {
 		t.Errorf("cap = %d, want default %d", st.Cap, planCacheLimit)
 	}
@@ -110,10 +109,7 @@ func denseGraph(n int) *graph.Graph {
 func TestRunCtxCancellation(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			ex := NewExecutor(denseGraph(400))
-			if shards > 0 {
-				ex.SetShardWorkers(shards)
-			}
+			ex := NewExecutor(denseGraph(400), WithShardWorkers(shards))
 			ctx, cancel := context.WithCancel(context.Background())
 			go func() {
 				time.Sleep(10 * time.Millisecond)

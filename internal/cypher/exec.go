@@ -32,15 +32,12 @@ type ClauseTiming struct {
 }
 
 // ExecStats instruments one execution of a query: how much of the graph
-// the matcher touched, which fast paths fired, and where the time went.
+// the matcher touched, how scans were sharded, and where the time went.
 type ExecStats struct {
 	// PlanCacheHit is true when Run served the parse from the plan cache.
 	PlanCacheHit bool
-	// CountFastPath is true when the single-aggregate fast path executed
-	// the query without materializing binding rows.
-	CountFastPath bool
 	// RowsScanned counts candidate nodes and edges examined while
-	// matching patterns.
+	// matching patterns. A LIMIT that stops a scan stops the count too.
 	RowsScanned int
 	// IndexSeeks counts node anchors served by the label+property equality
 	// index instead of a label scan; IndexRows is how many candidates those
@@ -60,10 +57,6 @@ type ExecStats struct {
 	// Seeks details every index seek taken, in execution order: the chosen
 	// bounds plus estimated vs. actual candidate rows.
 	Seeks []SeekInfo
-	// Streamed is true when the query ran on the streaming fast path
-	// (session.go / stream.go): result rows were emitted to the cursor
-	// incrementally and never materialized in Result.Rows.
-	Streamed bool
 	// Sharded is true when at least one MATCH ran on the morsel-driven
 	// worker pool; ShardWorkers is the configured pool size, Morsels how
 	// many morsels the last sharded clause's anchor scan was cut into,
@@ -81,7 +74,10 @@ type ExecStats struct {
 	Reordered bool
 	PartOrder []int
 	PartEst   []float64
-	// Clauses records per-clause wall-clock timings in execution order.
+	// Clauses records one wall-clock timing per clause, in query order.
+	// Clauses stream rows into each other, so a clause's duration runs
+	// from its first input row to the end of its finish and includes the
+	// downstream work it drove; the first clause's covers the whole run.
 	Clauses []ClauseTiming
 }
 
@@ -112,10 +108,6 @@ func (s SeekInfo) String() string {
 func (s ExecStats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "plan cache hit: %v\n", s.PlanCacheHit)
-	fmt.Fprintf(&b, "count fast path: %v\n", s.CountFastPath)
-	if s.Streamed {
-		fmt.Fprintf(&b, "streamed: true\n")
-	}
 	fmt.Fprintf(&b, "rows scanned: %d\n", s.RowsScanned)
 	fmt.Fprintf(&b, "index seeks: %d (%d candidate(s))\n", s.IndexSeeks, s.IndexRows)
 	if s.RangeSeeks > 0 {
@@ -248,14 +240,12 @@ type planEntry struct {
 type Executor struct {
 	g *graph.Graph
 
-	// noPushdown / noCountFast disable the respective fast paths; they
-	// exist for A/B benchmarking and plan debugging. noReorder disables
-	// cost-based part ordering (parts then run exactly as written), and
-	// shardWorkers >= 1 routes eligible MATCH clauses through the
-	// anchor-partitioned worker pool (see shard.go); both also back the
-	// differential oracle's reference configurations.
+	// noPushdown disables index seeks; it exists for A/B benchmarking and
+	// plan debugging. noReorder disables cost-based part ordering (parts
+	// then run exactly as written), and shardWorkers >= 1 cuts eligible
+	// MATCH anchor scans into morsels for the worker pool (see shard.go);
+	// both also back the differential oracle's reference configurations.
 	noPushdown      bool
-	noCountFast     bool
 	noReorder       bool
 	noRangePushdown bool
 	shardWorkers    int
@@ -300,48 +290,12 @@ func NewExecutor(g *graph.Graph, opts ...Option) *Executor {
 	return ex
 }
 
-// SetIndexPushdown toggles the label+property index pushdown (on by
-// default). Disabling it forces plain label-bucket scans.
-//
-// Deprecated: pass WithIndexPushdown to NewExecutor instead.
-func (ex *Executor) SetIndexPushdown(on bool) { WithIndexPushdown(on)(ex) }
-
-// SetRangePushdown toggles the ordered-index range pushdown (on by
-// default).
-//
-// Deprecated: pass WithRangePushdown to NewExecutor instead.
-func (ex *Executor) SetRangePushdown(on bool) { WithRangePushdown(on)(ex) }
-
-// SetCountFastPath toggles the single-aggregate fast path (on by default).
-//
-// Deprecated: pass WithCountFastPath to NewExecutor instead.
-func (ex *Executor) SetCountFastPath(on bool) { WithCountFastPath(on)(ex) }
-
-// SetReorder toggles cost-based pattern-part ordering (on by default).
-// Disabling it pins the written part order and orientation, which also pins
-// the serial row order — the differential oracle's reference mode.
-//
-// Deprecated: pass WithReorder to NewExecutor instead.
-func (ex *Executor) SetReorder(on bool) { WithReorder(on)(ex) }
-
-// SetShardWorkers configures sharded MATCH execution; see WithShardWorkers.
-//
-// Deprecated: pass WithShardWorkers to NewExecutor instead.
-func (ex *Executor) SetShardWorkers(n int) { WithShardWorkers(n)(ex) }
-
 // ShardWorkerCount reports the configured shard pool size (0 = serial).
 func (ex *Executor) ShardWorkerCount() int { return ex.shardWorkers }
 
 // MorselSize reports the effective morsel size for sharded scans (the
 // configured WithMorselSize value, or the default when unset).
 func (ex *Executor) MorselSize() int { return ex.morselCap() }
-
-// SetPlanCacheCap bounds the plan cache to n entries, evicting
-// least-recently-used plans beyond the cap immediately. n <= 0 restores
-// the default cap.
-//
-// Deprecated: pass WithPlanCacheCap to NewExecutor instead.
-func (ex *Executor) SetPlanCacheCap(n int) { ex.setPlanCacheCap(n) }
 
 func (ex *Executor) setPlanCacheCap(n int) {
 	ex.planMu.Lock()
@@ -438,11 +392,11 @@ func (ex *Executor) Run(src string, params map[string]graph.Value) (*Result, err
 // and periodically inside pattern-matching scans (including sharded
 // ones), returning cctx.Err() promptly once the context is done.
 //
-// RunCtx is the materializing shim over the Session/Cursor API
-// (session.go): it executes the same path a Session's materialized run
-// takes and returns the fully-collected Result. Callers that want
-// incremental row delivery, explicit transactions, or per-session state
-// should open a Session instead.
+// RunCtx runs the same operator pipeline a Session cursor does
+// (pipeline.go), with a sink that collects the rows into Result.Rows: a
+// Result is a drained cursor. Callers that want incremental row
+// delivery, explicit transactions, or per-session state should open a
+// Session instead.
 //
 // On execution error the returned *Result is non-nil and carries the
 // execution stats accumulated up to the failure (rows scanned, seeks,
@@ -492,7 +446,7 @@ func (ex *Executor) ExecuteCtx(cctx context.Context, q *Query, params map[string
 // and a Session's streaming run admits synchronously at Run before handing
 // execution to the cursor goroutine (see session.go). fork is the open
 // transaction's private graph, or nil outside a transaction.
-func (ex *Executor) executeProtected(cctx context.Context, fork *graph.Graph, q *Query, params map[string]graph.Value, sink *streamSink) (res *Result, err error) {
+func (ex *Executor) executeProtected(cctx context.Context, fork *graph.Graph, q *Query, params map[string]graph.Value, sink rowSink) (res *Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = recoverToError(p)
@@ -503,11 +457,10 @@ func (ex *Executor) executeProtected(cctx context.Context, fork *graph.Graph, q 
 }
 
 // executeGoverned is the body of ExecuteCtx, after admission and under
-// its panic-recovery and budget-stamping defers. When sink is non-nil and
-// the query matches the streaming plan, result rows are emitted to the
-// sink incrementally instead of materializing in res.Rows (see stream.go);
-// otherwise the query materializes as usual and the caller drains res.Rows.
-func (ex *Executor) executeGoverned(cctx context.Context, fork *graph.Graph, q *Query, params map[string]graph.Value, sink *streamSink) (*Result, error) {
+// its panic-recovery and budget-stamping defers. It compiles the query
+// into the clause pipeline and runs it into sink, or into res.Rows when
+// sink is nil.
+func (ex *Executor) executeGoverned(cctx context.Context, fork *graph.Graph, q *Query, params map[string]graph.Value, sink rowSink) (*Result, error) {
 	// A transaction's statements read and write its fork, which no other
 	// session sees. Otherwise, under WithSnapshotPin, a read-only query
 	// resolves the graph once to the current epoch's frozen snapshot: the
@@ -531,172 +484,16 @@ func (ex *Executor) executeGoverned(cctx context.Context, fork *graph.Graph, q *
 
 	res := &Result{}
 	m.exec = &res.Exec
-
-	if sink != nil && ex.shardWorkers == 0 {
-		if mc, rc, ok := streamFastPlan(q); ok {
-			start := time.Now()
-			err := ex.execMatchStream(ctx, m, mc, rc, res, sink)
-			res.Exec.Clauses = append(res.Exec.Clauses,
-				ClauseTiming{Clause: "MatchStream", Duration: time.Since(start)})
-			return res, err
-		}
+	if sink == nil {
+		sink = collectSink{res}
 	}
-
-	if !ex.noCountFast {
-		if mc, item, ok := countFastPlan(q); ok {
-			res.Exec.CountFastPath = true
-			start := time.Now()
-			err := ex.execMatchAggregate(ctx, m, mc, item, res)
-			res.Exec.Clauses = append(res.Exec.Clauses,
-				ClauseTiming{Clause: "MatchAggregate", Duration: time.Since(start)})
-			if err != nil {
-				return res, err
-			}
-			return res, nil
-		}
-	}
-
-	rows := []Row{{}}
-	var returned bool
-
-	for i, clause := range q.Clauses {
-		if returned {
-			return res, execErrf("RETURN must be the final clause")
-		}
-		if m.cctx != nil {
-			if err := m.cctx.Err(); err != nil {
-				return res, err
-			}
-		}
-		if err := m.bud.checkDeadline(); err != nil {
-			return res, err
-		}
-		var err error
-		start := time.Now()
-		switch cl := clause.(type) {
-		case *MatchClause:
-			rows, err = ex.execMatch(ctx, m, cl, rows, &res.Stats)
-		case *WithClause:
-			rows, err = ex.execWith(ctx, cl, rows)
-		case *ReturnClause:
-			err = ex.execReturn(ctx, cl, rows, res)
-			returned = true
-		case *UnwindClause:
-			rows, err = ex.execUnwind(ctx, cl, rows)
-		case *CreateClause:
-			rows, err = ex.execCreate(ctx, cl, rows, &res.Stats)
-		case *SetClause:
-			rows, err = ex.execSet(ctx, cl, rows, &res.Stats)
-		case *DeleteClause:
-			rows, err = ex.execDelete(ctx, cl, rows, &res.Stats)
-		default:
-			err = execErrf("unsupported clause at position %d", i)
-		}
-		res.Exec.Clauses = append(res.Exec.Clauses,
-			ClauseTiming{Clause: clauseName(clause), Duration: time.Since(start)})
-		if err != nil {
-			return res, err
-		}
-	}
-	return res, nil
-}
-
-func clauseName(c Clause) string {
-	switch cl := c.(type) {
-	case *MatchClause:
-		if cl.Optional {
-			return "OptionalMatch"
-		}
-		return "Match"
-	case *WithClause:
-		return "With"
-	case *ReturnClause:
-		return "Return"
-	case *UnwindClause:
-		return "Unwind"
-	case *CreateClause:
-		return "Create"
-	case *SetClause:
-		return "Set"
-	case *DeleteClause:
-		if cl.Detach {
-			return "DetachDelete"
-		}
-		return "Delete"
-	default:
-		return fmt.Sprintf("%T", c)
-	}
-}
-
-// countFastPlan recognizes the scoring workload's canonical shape — a
-// single non-optional MATCH followed by RETURN of exactly one bare
-// aggregate (`MATCH ... [WHERE ...] RETURN count(*) AS n`) — which can be
-// executed by streaming matches into one aggregate state without ever
-// materializing binding rows.
-func countFastPlan(q *Query) (*MatchClause, *ReturnItem, bool) {
-	if len(q.Clauses) != 2 {
-		return nil, nil, false
-	}
-	mc, ok := q.Clauses[0].(*MatchClause)
-	if !ok || mc.Optional {
-		return nil, nil, false
-	}
-	rc, ok := q.Clauses[1].(*ReturnClause)
-	if !ok {
-		return nil, nil, false
-	}
-	p := &rc.Projection
-	if p.Star || p.Distinct || len(p.OrderBy) > 0 || p.Skip != nil || p.Limit != nil || len(p.Items) != 1 {
-		return nil, nil, false
-	}
-	fc, ok := p.Items[0].Expr.(*FuncCall)
-	if !ok || !aggregateFuncs[fc.Name] {
-		return nil, nil, false
-	}
-	return mc, p.Items[0], true
-}
-
-// execMatchAggregate is the count fast path: it streams pattern matches
-// into a single aggregate state, skipping row materialization, grouping
-// and projection. Its observable result is identical to the general path.
-// With shard workers configured, the anchor scan is partitioned and the
-// per-shard aggregate states are merged (shard.go).
-func (ex *Executor) execMatchAggregate(ctx *evalCtx, m *matcher, mc *MatchClause, item *ReturnItem, res *Result) error {
-	fc := item.Expr.(*FuncCall)
-	m.ranges = ex.clauseRanges(mc.Where)
-	plan := ex.planMatch(mc.Patterns, nil, m.ranges)
-	recordPlan(m, plan)
-	res.Stats.RowsExamined++
-
-	if ex.shardWorkers >= 1 {
-		st, err := ex.shardAggregate(ctx, m, plan, mc.Where, fc)
-		if err != nil {
-			return err
-		}
-		res.Columns = []string{item.Name()}
-		res.Rows = append(res.Rows, []Datum{st.result()})
-		return nil
-	}
-
-	st := newAggState(fc)
-	err := m.matchAll(plan.parts, Row{}, func(r Row) error {
-		if mc.Where != nil {
-			t, err := ctx.evalBool(mc.Where, r)
-			if err != nil {
-				return err
-			}
-			if t != triTrue {
-				return nil
-			}
-		}
-		return st.add(ctx, r)
-	})
+	p, err := ex.compile(ctx, m, q, res, sink)
 	if err != nil {
-		return err
+		return res, err
 	}
-	res.Columns = []string{item.Name()}
-	res.Rows = append(res.Rows, []Datum{st.result()})
-	return nil
+	err = p.run(m)
+	res.Exec.Clauses = p.timings()
+	return res, err
 }
 
 // ---------- MATCH ----------
@@ -708,63 +505,6 @@ func (ex *Executor) clauseRanges(where Expr) whereRanges {
 		return nil
 	}
 	return extractRanges(where)
-}
-
-func (ex *Executor) execMatch(ctx *evalCtx, m *matcher, cl *MatchClause, in []Row, st *Stats) ([]Row, error) {
-	newVars := patternVars(cl.Patterns)
-	var bound map[string]bool
-	if len(in) > 0 {
-		bound = make(map[string]bool, len(in[0]))
-		for v := range in[0] {
-			bound[v] = true
-		}
-	}
-	m.ranges = ex.clauseRanges(cl.Where)
-	plan := ex.planMatch(cl.Patterns, bound, m.ranges)
-	recordPlan(m, plan)
-
-	if ex.shardWorkers >= 1 && len(in) == 1 && anchorUnbound(plan.parts, in[0]) {
-		return ex.execMatchSharded(ctx, m, cl, plan, newVars, in[0], st)
-	}
-
-	var out []Row
-	for _, row := range in {
-		st.RowsExamined++
-		matched := false
-		err := m.matchAll(plan.parts, row, func(r Row) error {
-			if cl.Where != nil {
-				t, err := ctx.evalBool(cl.Where, r)
-				if err != nil {
-					return err
-				}
-				if t != triTrue {
-					return nil
-				}
-			}
-			matched = true
-			if err := m.bud.chargeRow(r); err != nil {
-				return err
-			}
-			out = append(out, r.clone())
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		if !matched && cl.Optional {
-			r := row.clone()
-			for _, v := range newVars {
-				if _, bound := r[v]; !bound {
-					r[v] = NullDatum
-				}
-			}
-			if err := m.bud.chargeRow(r); err != nil {
-				return nil, err
-			}
-			out = append(out, r)
-		}
-	}
-	return out, nil
 }
 
 // patternVars returns the variable names introduced by a pattern list, in
@@ -801,17 +541,20 @@ type matcher struct {
 	polls    uint64          // pollCtx amortization counter
 }
 
-// pollCtx reports the matcher's cancellation state and query deadline,
-// actually consulting the context (and clock) only once every 256 calls
-// so it can sit inside hot candidate loops without measurable cost.
+// pollCtx is checkCtx amortized: it consults the context (and clock) only
+// once every 256 calls, and is small enough to inline, so it can sit
+// inside hot candidate loops without measurable cost.
 func (m *matcher) pollCtx() error {
-	if m.cctx == nil && m.bud == nil {
-		return nil
-	}
 	m.polls++
 	if m.polls&0xff != 0 {
 		return nil
 	}
+	return m.checkCtx()
+}
+
+// checkCtx reports the matcher's cancellation state and query deadline
+// without amortization; the pipeline calls it between clauses.
+func (m *matcher) checkCtx() error {
 	if m.cctx != nil {
 		if err := m.cctx.Err(); err != nil {
 			return err
@@ -822,20 +565,24 @@ func (m *matcher) pollCtx() error {
 
 // matchAll matches every pattern part in sequence (sharing one
 // relationship-uniqueness scope, Cypher's per-MATCH semantics) and invokes
-// cb for each complete assignment.
+// cb for each complete assignment. A non-nil morsel replaces the first
+// part's anchor enumeration: a sharded scan hands each worker its slice of
+// the candidates.
 //
 // Bindings are made in-place on the working row and undone on backtrack, so
 // cb receives a transient view: it must clone the row if it retains it.
-func (m *matcher) matchAll(parts []*PatternPart, row Row, cb func(Row) error) error {
+func (m *matcher) matchAll(parts []*PatternPart, morsel []*graph.Node, row Row, cb func(Row) error) error {
 	used := map[graph.ID]bool{}
 	var rec func(i int, r Row) error
 	rec = func(i int, r Row) error {
-		if i == len(parts) {
-			return cb(r)
+		next := cb // the last part completes the assignment
+		if i+1 < len(parts) {
+			next = func(r2 Row) error { return rec(i+1, r2) }
 		}
-		return m.matchPart(parts[i], r, used, func(r2 Row) error {
-			return rec(i+1, r2)
-		})
+		if i == 0 && morsel != nil {
+			return m.scanAnchor(parts[0], morsel, r, used, next)
+		}
+		return m.matchPart(parts[i], r, used, next)
 	}
 	return rec(0, row)
 }
@@ -866,20 +613,7 @@ var errStopMatching = &ExecError{Msg: "stop"}
 // matchPart matches one path pattern, extending row; used tracks
 // relationship uniqueness within the clause.
 func (m *matcher) matchPart(part *PatternPart, row Row, used map[graph.ID]bool, cb func(Row) error) error {
-	return m.bindNode(part, 0, row, used, cb)
-}
-
-func (m *matcher) bindNode(part *PatternPart, i int, row Row, used map[graph.ID]bool, cb func(Row) error) error {
-	np := part.Nodes[i]
-
-	proceed := func(n *graph.Node, r Row) error {
-		if i == len(part.Rels) {
-			return cb(r)
-		}
-		return m.expandRel(part, i, n, r, used, cb)
-	}
-
-	// Bound variable: check constraints and continue.
+	np := part.Nodes[0]
 	if np.Var != "" {
 		if d, ok := row[np.Var]; ok {
 			if d.Node == nil {
@@ -892,37 +626,69 @@ func (m *matcher) bindNode(part *PatternPart, i int, row Row, used map[graph.ID]
 			if err != nil || !ok {
 				return err
 			}
-			return proceed(d.Node, row)
+			return m.afterNode(part, 0, d.Node, row, used, cb)
 		}
 	}
+	return m.scanAnchor(part, m.anchorCandidates(part), row, used, cb)
+}
 
-	candidates := m.anchorCandidates(part)
-	if m.exec != nil {
-		m.exec.RowsScanned += len(candidates)
+// scanAnchor binds the part's unbound anchor to each candidate in turn and
+// continues the match. The anchor's property constraints depend only on
+// the outer row, never on the anchor itself, so they are evaluated once,
+// on the first candidate that carries the labels, and the rest of the scan
+// compares scalars. Candidates count as scanned when visited, so a LIMIT
+// that stops the scan leaves the rest uncounted.
+func (m *matcher) scanAnchor(part *PatternPart, cands []*graph.Node, row Row, used map[graph.ID]bool, cb func(Row) error) error {
+	type propWant struct {
+		key  string
+		want graph.Value
 	}
-	for _, n := range candidates {
-		if err := m.pollCtx(); err != nil {
-			return err
+	np := part.Nodes[0]
+	var wants []propWant
+	wantsReady := len(np.Props) == 0
+	scanned := 0
+	var err error
+candidates:
+	for _, n := range cands {
+		scanned++
+		if err = m.pollCtx(); err != nil {
+			break
 		}
-		ok, err := m.nodeSatisfies(np, n, row)
-		if err != nil {
-			return err
+		for _, l := range np.Labels {
+			if !n.HasLabel(l) {
+				continue candidates
+			}
 		}
-		if !ok {
-			continue
+		if !wantsReady {
+			for k, e := range np.Props {
+				var d Datum
+				if d, err = m.ctx.eval(e, row); err != nil {
+					break candidates
+				}
+				wants = append(wants, propWant{key: k, want: d.Scalar()})
+			}
+			wantsReady = true
+		}
+		for _, pw := range wants {
+			if !n.Prop(pw.key).Equal(pw.want) {
+				continue candidates
+			}
 		}
 		if np.Var != "" {
 			row[np.Var] = NodeDatum(n)
 		}
-		err = proceed(n, row)
+		err = m.afterNode(part, 0, n, row, used, cb)
 		if np.Var != "" {
 			delete(row, np.Var)
 		}
 		if err != nil {
-			return err
+			break
 		}
 	}
-	return nil
+	if m.exec != nil {
+		m.exec.RowsScanned += scanned
+	}
+	return err
 }
 
 // anchorCandidates enumerates the candidate nodes for the part's unbound
@@ -1430,353 +1196,19 @@ func (m *matcher) expandVarLength(part *PatternPart, i int, start *graph.Node, r
 	return walk(start, 0, nil)
 }
 
-// ---------- WITH / RETURN ----------
-
-func (ex *Executor) execWith(ctx *evalCtx, cl *WithClause, in []Row) ([]Row, error) {
-	outRows, _, err := ex.project(ctx, &cl.Projection, in)
-	if err != nil {
-		return nil, err
-	}
-	if cl.Where == nil {
-		return outRows, nil
-	}
-	var filtered []Row
-	for _, r := range outRows {
-		t, err := ctx.evalBool(cl.Where, r)
-		if err != nil {
-			return nil, err
-		}
-		if t == triTrue {
-			filtered = append(filtered, r)
-		}
-	}
-	return filtered, nil
-}
-
-func (ex *Executor) execReturn(ctx *evalCtx, cl *ReturnClause, in []Row, res *Result) error {
-	outRows, cols, err := ex.project(ctx, &cl.Projection, in)
-	if err != nil {
-		return err
-	}
-	res.Columns = cols
-	for _, r := range outRows {
-		vals := make([]Datum, len(cols))
-		for i, c := range cols {
-			vals[i] = r[c]
-		}
-		res.Rows = append(res.Rows, vals)
-	}
-	return nil
-}
-
-// project evaluates a projection over input rows, handling star expansion,
-// aggregation grouping, DISTINCT, ORDER BY, SKIP and LIMIT. It returns the
-// output rows (bound by output column name) and the column order.
-func (ex *Executor) project(ctx *evalCtx, p *Projection, in []Row) ([]Row, []string, error) {
-	items := p.Items
-	if p.Star {
-		var starItems []*ReturnItem
-		var scope []string
-		if len(in) > 0 {
-			scope = sortedVarNames(in[0])
-		}
-		for _, v := range scope {
-			starItems = append(starItems, &ReturnItem{Expr: &Variable{Name: v}, Alias: v})
-		}
-		items = append(starItems, items...)
-	}
-	if len(items) == 0 {
-		return nil, nil, execErrf("projection requires at least one item")
-	}
-
-	cols := make([]string, len(items))
-	colSeen := map[string]bool{}
-	for i, it := range items {
-		name := it.Name()
-		for colSeen[name] {
-			name += "_"
-		}
-		colSeen[name] = true
-		cols[i] = name
-	}
-
-	hasAgg := false
-	for _, it := range items {
-		if ContainsAggregate(it.Expr) {
-			hasAgg = true
-			break
-		}
-	}
-
-	var outRows []Row
-	var err error
-	if hasAgg {
-		outRows, err = ex.projectGrouped(ctx, items, cols, in)
-	} else {
-		outRows, err = ex.projectSimple(ctx, items, cols, in)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-
-	if p.Distinct {
-		seen := map[string]bool{}
-		var dd []Row
-		for _, r := range outRows {
-			var b strings.Builder
-			for _, c := range cols {
-				b.WriteString(r[c].Hashable())
-				b.WriteByte('|')
-			}
-			k := b.String()
-			if !seen[k] {
-				seen[k] = true
-				dd = append(dd, r)
-			}
-		}
-		outRows = dd
-	}
-
-	if len(p.OrderBy) > 0 {
-		if err := ex.sortRows(ctx, p.OrderBy, cols, outRows); err != nil {
-			return nil, nil, err
-		}
-	}
-
-	if p.Skip != nil {
-		n, err := ex.evalPosInt(ctx, p.Skip, "SKIP")
-		if err != nil {
-			return nil, nil, err
-		}
-		if n >= len(outRows) {
-			outRows = nil
-		} else {
-			outRows = outRows[n:]
-		}
-	}
-	if p.Limit != nil {
-		n, err := ex.evalPosInt(ctx, p.Limit, "LIMIT")
-		if err != nil {
-			return nil, nil, err
-		}
-		if n < len(outRows) {
-			outRows = outRows[:n]
-		}
-	}
-	return outRows, cols, nil
-}
-
-func (ex *Executor) evalPosInt(ctx *evalCtx, e Expr, what string) (int, error) {
-	d, err := ctx.eval(e, Row{})
-	if err != nil {
-		return 0, err
-	}
-	v := d.Scalar()
-	if v.Kind() != graph.KindInt || v.Int() < 0 {
-		return 0, execErrf("%s requires a non-negative integer", what)
-	}
-	return int(v.Int()), nil
-}
-
-func (ex *Executor) projectSimple(ctx *evalCtx, items []*ReturnItem, cols []string, in []Row) ([]Row, error) {
-	out := make([]Row, 0, len(in))
-	for _, r := range in {
-		nr := make(Row, len(items))
-		for i, it := range items {
-			d, err := ctx.eval(it.Expr, r)
-			if err != nil {
-				return nil, err
-			}
-			nr[cols[i]] = d
-		}
-		if err := ctx.bud().chargeRow(nr); err != nil {
-			return nil, err
-		}
-		out = append(out, nr)
-	}
-	return out, nil
-}
-
-func (ex *Executor) projectGrouped(ctx *evalCtx, items []*ReturnItem, cols []string, in []Row) ([]Row, error) {
-	// Grouping keys: items with no aggregate inside.
-	type keyItem struct {
-		idx int
-	}
-	var keyItems []keyItem
-	var aggCalls []*FuncCall
-	for i, it := range items {
-		if ContainsAggregate(it.Expr) {
-			collectAggregates(it.Expr, &aggCalls)
-		} else {
-			keyItems = append(keyItems, keyItem{idx: i})
-		}
-	}
-
-	type group struct {
-		keyVals map[int]Datum // item index -> value
-		aggs    []*aggState
-		first   Row
-	}
-	groups := map[string]*group{}
-	var order []string
-
-	for _, r := range in {
-		var kb strings.Builder
-		keyVals := make(map[int]Datum, len(keyItems))
-		for _, ki := range keyItems {
-			d, err := ctx.eval(items[ki.idx].Expr, r)
-			if err != nil {
-				return nil, err
-			}
-			keyVals[ki.idx] = d
-			kb.WriteString(d.Hashable())
-			kb.WriteByte('|')
-		}
-		k := kb.String()
-		grp := groups[k]
-		if grp == nil {
-			grp = &group{keyVals: keyVals, first: r}
-			for _, fc := range aggCalls {
-				grp.aggs = append(grp.aggs, newAggState(fc))
-			}
-			groups[k] = grp
-			order = append(order, k)
-		}
-		for _, st := range grp.aggs {
-			if err := st.add(ctx, r); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// With no grouping keys and no input rows, aggregates still produce one
-	// row (count(*) over nothing is 0).
-	if len(in) == 0 && len(keyItems) == 0 {
-		grp := &group{keyVals: map[int]Datum{}, first: Row{}}
-		for _, fc := range aggCalls {
-			grp.aggs = append(grp.aggs, newAggState(fc))
-		}
-		groups["∅"] = grp
-		order = append(order, "∅")
-	}
-
-	out := make([]Row, 0, len(order))
-	for _, k := range order {
-		grp := groups[k]
-		aggResults := make(map[*FuncCall]Datum, len(grp.aggs))
-		for _, st := range grp.aggs {
-			aggResults[st.fn] = st.result()
-		}
-		ctx.aggResults = aggResults
-		nr := make(Row, len(items))
-		for i, it := range items {
-			if d, ok := grp.keyVals[i]; ok {
-				nr[cols[i]] = d
-				continue
-			}
-			d, err := ctx.eval(it.Expr, grp.first)
-			if err != nil {
-				ctx.aggResults = nil
-				return nil, err
-			}
-			nr[cols[i]] = d
-		}
-		ctx.aggResults = nil
-		out = append(out, nr)
-	}
-	return out, nil
-}
-
-func (ex *Executor) sortRows(ctx *evalCtx, orderBy []*SortItem, cols []string, rows []Row) error {
-	type keyed struct {
-		row  Row
-		keys []string
-	}
-	ks := make([]keyed, len(rows))
-	for i, r := range rows {
-		keys := make([]string, len(orderBy))
-		for j, si := range orderBy {
-			// ORDER BY sees output bindings; a bare identifier matching a
-			// column refers to it, otherwise the expression is evaluated on
-			// the output row.
-			d, err := ctx.eval(si.Expr, r)
-			if err != nil {
-				return err
-			}
-			keys[j] = d.Scalar().SortKey()
-		}
-		ks[i] = keyed{row: r, keys: keys}
-	}
-	sort.SliceStable(ks, func(a, b int) bool {
-		for j := range orderBy {
-			ka, kb := ks[a].keys[j], ks[b].keys[j]
-			if ka == kb {
-				continue
-			}
-			if orderBy[j].Desc {
-				return ka > kb
-			}
-			return ka < kb
-		}
-		return false
-	})
-	for i := range rows {
-		rows[i] = ks[i].row
-	}
-	return nil
-}
-
-// ---------- UNWIND ----------
-
-func (ex *Executor) execUnwind(ctx *evalCtx, cl *UnwindClause, in []Row) ([]Row, error) {
-	var out []Row
-	for _, r := range in {
-		d, err := ctx.eval(cl.Expr, r)
-		if err != nil {
-			return nil, err
-		}
-		v := d.Scalar()
-		switch v.Kind() {
-		case graph.KindNull:
-			continue
-		case graph.KindList:
-			for _, e := range v.List() {
-				nr := r.clone()
-				nr[cl.Alias] = ValDatum(e)
-				if err := ctx.bud().chargeRow(nr); err != nil {
-					return nil, err
-				}
-				out = append(out, nr)
-			}
-		default:
-			nr := r.clone()
-			nr[cl.Alias] = ValDatum(v)
-			if err := ctx.bud().chargeRow(nr); err != nil {
-				return nil, err
-			}
-			out = append(out, nr)
-		}
-	}
-	return out, nil
-}
-
 // ---------- CREATE / SET / DELETE ----------
 
+// execCreate creates the clause's patterns once per row, binding the new
+// entities on the (barrier-owned) rows themselves.
 func (ex *Executor) execCreate(ctx *evalCtx, cl *CreateClause, in []Row, st *Stats) ([]Row, error) {
-	var out []Row
-	for _, row := range in {
-		r := row.clone()
+	for _, r := range in {
 		for _, part := range cl.Patterns {
 			if err := ex.createPart(ctx, part, r, st); err != nil {
 				return nil, err
 			}
 		}
-		if err := ctx.bud().chargeRow(r); err != nil {
-			return nil, err
-		}
-		out = append(out, r)
 	}
-	return out, nil
+	return in, nil
 }
 
 func (ex *Executor) createPart(ctx *evalCtx, part *PatternPart, r Row, st *Stats) error {

@@ -25,7 +25,7 @@ func (ex *Executor) Explain(src string) (string, error) {
 	}
 	bound := map[string]bool{}
 
-	for _, cl := range q.Clauses {
+	for i, cl := range q.Clauses {
 		switch c := cl.(type) {
 		case *MatchClause:
 			kw := "Match"
@@ -39,9 +39,13 @@ func (ex *Executor) Explain(src string) (string, error) {
 			if mp.reordered {
 				line("CostOrder: order=%v reversed=%v est=%v [smallest anchor first]", mp.order, mp.reversed, mp.est)
 			}
-			if ex.shardWorkers >= 1 && anchorUnbound(mp.parts, boundRow(bound)) {
-				line("MorselScan(%d worker(s), morsel size %d) [work-stealing over anchor morsels, merged in tag order]",
-					ex.shardWorkers, ex.morselCap())
+			if ex.shardWorkers >= 1 && !bound[mp.parts[0].Nodes[0].Var] {
+				when := ""
+				if i > 0 {
+					when = " when its input is one row"
+				}
+				line("MorselScan(%d worker(s), morsel size %d) [work-stealing over anchor morsels, merged in tag order%s]",
+					ex.shardWorkers, ex.morselCap(), when)
 			}
 			for _, part := range mp.parts {
 				ex.explainPart(part, bound, ranges, line)
@@ -52,7 +56,6 @@ func (ex *Executor) Explain(src string) (string, error) {
 			depth--
 		case *WithClause:
 			line("Project (WITH): %s", projectionSummary(&c.Projection))
-			rebind(bound, &c.Projection)
 			if c.Where != nil {
 				line("Filter: %s", c.Where.exprString())
 			}
@@ -60,12 +63,8 @@ func (ex *Executor) Explain(src string) (string, error) {
 			line("Project (RETURN): %s", projectionSummary(&c.Projection))
 		case *UnwindClause:
 			line("Unwind %s AS %s", c.Expr.exprString(), c.Alias)
-			bound[c.Alias] = true
 		case *CreateClause:
 			line("Create (%d pattern(s))", len(c.Patterns))
-			for _, part := range c.Patterns {
-				markPatternVars(part, bound)
-			}
 		case *SetClause:
 			line("Set (%d item(s))", len(c.Items))
 		case *DeleteClause:
@@ -75,12 +74,7 @@ func (ex *Executor) Explain(src string) (string, error) {
 			}
 			line("%s (%d target(s))", kw, len(c.Exprs))
 		}
-	}
-	if !ex.noCountFast {
-		if _, _, ok := countFastPlan(q); ok {
-			depth = 1
-			line("[count fast path: streams matches into one aggregate]")
-		}
+		bindScope(bound, cl)
 	}
 	pc := ex.PlanCacheStats()
 	is := ex.g.IndexStats()
@@ -183,7 +177,7 @@ func (ex *Executor) explainPart(part *PatternPart, bound map[string]bool, ranges
 
 // hasConstProp reports whether the node pattern carries at least one
 // constant (literal) property constraint — the precondition for an index
-// seek in bindNode.
+// seek in anchorCandidates.
 func hasConstProp(n *NodePattern) bool {
 	for _, e := range n.Props {
 		if _, ok := e.(*Literal); ok {
@@ -193,7 +187,7 @@ func hasConstProp(n *NodePattern) bool {
 	return false
 }
 
-// seekChoice mirrors bindNode's deterministic seek choice for display: the
+// seekChoice mirrors anchorCandidates' deterministic seek choice for display: the
 // first declared label and the first (sorted) constant property key.
 func seekChoice(n *NodePattern) (label, key string) {
 	keys := make([]string, 0, len(n.Props))
@@ -216,18 +210,6 @@ func (ex *Executor) bestLabel(labels []string) (string, int) {
 		}
 	}
 	return best, bestN
-}
-
-// boundRow adapts Explain's bound-variable set to the Row shape
-// anchorUnbound checks (only key presence matters).
-func boundRow(bound map[string]bool) Row {
-	r := make(Row, len(bound))
-	for v, ok := range bound {
-		if ok {
-			r[v] = NullDatum
-		}
-	}
-	return r
 }
 
 func varOrAnon(v string) string {
@@ -284,15 +266,4 @@ func projectionSummary(p *Projection) string {
 		s += " [paginate]"
 	}
 	return s
-}
-
-func rebind(bound map[string]bool, p *Projection) {
-	if !p.Star {
-		for k := range bound {
-			delete(bound, k)
-		}
-	}
-	for _, it := range p.Items {
-		bound[it.Name()] = true
-	}
 }

@@ -9,8 +9,9 @@ import (
 	"github.com/graphrules/graphrules/internal/graph"
 )
 
-// equivalence queries exercised against every engine configuration: fast
-// paths must be observably identical to the general path.
+// equivalence queries exercised with index pushdown on and off: a seek
+// only narrows the candidates the plain scan would enumerate, so results
+// must be identical.
 var equivQueries = []string{
 	`MATCH (u:User) RETURN count(*) AS n`,
 	`MATCH (u:User {verified: true}) RETURN count(*) AS n`,
@@ -39,71 +40,34 @@ func resultSignature(res *Result) string {
 	return b.String()
 }
 
-// TestFastPathEquivalence cross-checks pushdown and the count fast path
-// against the plain scan engine on the same graph.
+// TestFastPathEquivalence cross-checks index pushdown against the plain
+// scan engine on the same graph.
 func TestFastPathEquivalence(t *testing.T) {
 	g := socialGraph()
-	base := NewExecutor(g)
-	base.SetIndexPushdown(false)
-	base.SetCountFastPath(false)
-
-	configs := []struct {
-		name               string
-		pushdown, fastPath bool
-	}{
-		{"pushdown", true, false},
-		{"fastpath", false, true},
-		{"both", true, true},
-	}
-	for _, cfg := range configs {
-		ex := NewExecutor(g)
-		ex.SetIndexPushdown(cfg.pushdown)
-		ex.SetCountFastPath(cfg.fastPath)
-		for _, q := range equivQueries {
-			want, err := base.Run(q, nil)
-			if err != nil {
-				t.Fatalf("base %q: %v", q, err)
-			}
-			got, err := ex.Run(q, nil)
-			if err != nil {
-				t.Fatalf("%s %q: %v", cfg.name, q, err)
-			}
-			if resultSignature(got) != resultSignature(want) {
-				t.Errorf("%s %q:\n got %q\nwant %q", cfg.name, q, resultSignature(got), resultSignature(want))
-			}
+	base := NewExecutor(g, WithIndexPushdown(false))
+	ex := NewExecutor(g)
+	for _, q := range equivQueries {
+		want, err := base.Run(q, nil)
+		if err != nil {
+			t.Fatalf("base %q: %v", q, err)
+		}
+		got, err := ex.Run(q, nil)
+		if err != nil {
+			t.Fatalf("pushdown %q: %v", q, err)
+		}
+		if resultSignature(got) != resultSignature(want) {
+			t.Errorf("pushdown %q:\n got %q\nwant %q", q, resultSignature(got), resultSignature(want))
 		}
 	}
 }
 
-// TestCountFastPathZeroMatches pins the empty-group contract: a bare
-// aggregate over zero matches still yields exactly one row.
-func TestCountFastPathZeroMatches(t *testing.T) {
+// TestCountZeroMatches pins the empty-group contract: a bare aggregate
+// over zero matches still yields exactly one row.
+func TestCountZeroMatches(t *testing.T) {
 	g := socialGraph()
 	res := run(t, g, `MATCH (x:Nope) RETURN count(*) AS n`)
-	if !res.Exec.CountFastPath {
-		t.Fatalf("expected count fast path, stats: %+v", res.Exec)
-	}
 	if res.Len() != 1 || res.FirstInt("n") != 0 {
 		t.Fatalf("zero-match count: rows=%d n=%d", res.Len(), res.FirstInt("n"))
-	}
-}
-
-func TestCountFastPathNotTakenWhenDisqualified(t *testing.T) {
-	g := socialGraph()
-	ex := NewExecutor(g)
-	for _, q := range []string{
-		`MATCH (u:User) RETURN count(*) AS n, u.name AS name`, // two items
-		`MATCH (u:User) RETURN u.name AS name`,                // no aggregate
-		`OPTIONAL MATCH (u:Nope) RETURN count(*) AS n`,        // optional
-		`MATCH (u:User) RETURN count(*) AS n ORDER BY n`,      // order by
-	} {
-		res, err := ex.Run(q, nil)
-		if err != nil {
-			t.Fatalf("%q: %v", q, err)
-		}
-		if res.Exec.CountFastPath {
-			t.Errorf("%q unexpectedly took the count fast path", q)
-		}
 	}
 }
 

@@ -4,7 +4,7 @@ package cypher
 // budgets enforced inside the executor so one runaway query (an unbounded
 // cartesian product, a pathological variable-length expansion) degrades
 // into a typed error instead of taking the process down. Three budgets
-// exist — a materialized-row cap, an approximate memory budget, and a
+// exist — a retained-row cap, an approximate memory budget, and a
 // per-query deadline — all configured as executor options (WithMaxRows,
 // WithMemoryBudget, WithQueryDeadline) and all enforced at the same
 // amortized cadence as the existing context polls, so an ungoverned
@@ -92,8 +92,7 @@ type Admission interface {
 // budget is one execution's shared resource-budget state. The counters
 // are atomics because a sharded scan's morsel workers charge them
 // concurrently; with no sharding they degrade to uncontended atomic adds,
-// one per materialized row — noise next to the map clone that produced
-// the row.
+// one per retained row — noise next to the copy that retained it.
 type budget struct {
 	maxRows int64     // > 0 enables the row cap
 	maxMem  int64     // > 0 enables the memory budget
@@ -116,7 +115,7 @@ func (ex *Executor) newBudget() *budget {
 	return b
 }
 
-// chargeRows accounts n materialized rows against the row cap.
+// chargeRows accounts n retained or returned rows against the row cap.
 func (b *budget) chargeRows(n int) error {
 	if b == nil || b.maxRows <= 0 {
 		return nil
@@ -151,21 +150,19 @@ func (b *budget) checkDeadline() error {
 	return nil
 }
 
-// rowBytes estimates the retained size of one materialized row: the map
-// header plus one bucket entry (string header + datum) per binding. A
-// deliberate over-approximation on the cheap side — the budget bounds
+// chargeRow accounts one retained or returned row of the given width
+// (bindings or columns): one row against the cap, plus an estimate of its
+// bytes — a header plus one entry (name + datum) per value. A deliberate
+// over-approximation on the cheap side: the budget bounds
 // order-of-magnitude blowups, not byte-exact accounting.
-func rowBytes(r Row) int64 { return 48 + int64(len(r))*64 }
-
-// chargeRow accounts one materialized row (count and approximate bytes).
-func (b *budget) chargeRow(r Row) error {
+func (b *budget) chargeRow(width int) error {
 	if b == nil {
 		return nil
 	}
 	if err := b.chargeRows(1); err != nil {
 		return err
 	}
-	return b.chargeMem(rowBytes(r))
+	return b.chargeMem(48 + int64(width)*64)
 }
 
 // aggStateBytes is the approximate retained cost charged per element a

@@ -110,15 +110,14 @@ func TestUnderBudgetIdentity(t *testing.T) {
 		`MATCH (p:Person) RETURN collect(p.idx) AS xs`,
 		`UNWIND range(0, 20) AS x RETURN x`,
 	}
-	plain := NewExecutor(g)
-	plain.SetReorder(false)
+	plain := NewExecutor(g, WithReorder(false))
 	for _, workers := range []int{0, 4} {
 		governed := NewExecutor(g,
 			WithMaxRows(1_000_000),
 			WithMemoryBudget(1<<30),
 			WithQueryDeadline(time.Hour),
-			WithShardWorkers(workers))
-		governed.SetReorder(false)
+			WithShardWorkers(workers),
+			WithReorder(false))
 		for _, q := range queries {
 			want, wantErr := oracleRun(plain, q)
 			got, gotErr := oracleRun(governed, q)

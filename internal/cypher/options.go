@@ -10,10 +10,9 @@ import "time"
 //		cypher.WithRangePushdown(false),
 //	)
 //
-// Options are the one place executor knobs are defined; the legacy Set*
-// methods are deprecated shims over them, and the graphrules facade and
-// mining.Config forward []Option verbatim, so a new knob added here is
-// immediately reachable from every API layer.
+// Options are the one place executor knobs are defined; the graphrules
+// facade and mining.Config forward []Option verbatim, so a new knob added
+// here is immediately reachable from every API layer.
 type Option func(*Executor)
 
 // WithIndexPushdown toggles the label+property equality index pushdown (on
@@ -28,11 +27,6 @@ func WithIndexPushdown(on bool) Option {
 // relationship-property constraints, become index range seeks.
 func WithRangePushdown(on bool) Option {
 	return func(ex *Executor) { ex.noRangePushdown = !on }
-}
-
-// WithCountFastPath toggles the single-aggregate fast path (on by default).
-func WithCountFastPath(on bool) Option {
-	return func(ex *Executor) { ex.noCountFast = !on }
 }
 
 // WithReorder toggles cost-based pattern-part ordering (on by default).
@@ -76,9 +70,10 @@ func WithPlanCacheCap(n int) Option {
 	return func(ex *Executor) { ex.setPlanCacheCap(n) }
 }
 
-// WithMaxRows caps the number of rows one query may materialize (matched
-// rows, OPTIONAL padding rows, UNWIND expansions) summed across all shard
-// workers. Exceeding it kills the query with a *ResourceExhaustedError
+// WithMaxRows caps the number of rows one query retains or returns
+// (result rows, rows held by grouping, ORDER BY, the eager barrier before
+// a write, and morsel buffers) summed across all shard workers. Rows that
+// stream through without being retained are not counted. Exceeding it kills the query with a *ResourceExhaustedError
 // carrying the partial ExecStats. n <= 0 disables the cap (default).
 // A query that finishes under the cap is byte-identical to ungoverned.
 func WithMaxRows(n int) Option {
@@ -91,8 +86,8 @@ func WithMaxRows(n int) Option {
 }
 
 // WithMemoryBudget bounds a query's approximate retained allocation:
-// materialized rows and aggregate-state elements charge an estimated byte
-// cost against the budget as they are created. The accounting is
+// retained and returned rows, DISTINCT keys and aggregate-state elements
+// charge an estimated byte cost against the budget as they are created. The accounting is
 // deliberately coarse — it bounds order-of-magnitude blowups (runaway
 // cartesian products, unbounded collect()) rather than exact footprints.
 // n <= 0 disables the budget (default).

@@ -23,6 +23,8 @@ package cypher
 //	GRAPHRULES_ORACLE_ARTIFACT  file to append failing query reproductions to
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"os"
@@ -663,5 +665,50 @@ func (sch *oracleSchema) tryRandomQuery(rng *rand.Rand) (string, bool) {
 		op := pick(rng, []string{">", ">=", "<", "<="})
 		return fmt.Sprintf("MATCH (a)-[r:%s]->(b) WHERE r.%s %s %d RETURN count(*) AS n",
 			r.typ, ps.key, op, ps.val.Int()), true
+	}
+}
+
+// oracleDigests pins the serial reference configuration's output over the
+// fixed corpus plus 60 seeded random queries (seed 1) per dataset. Every
+// other oracle compares configurations against the reference; this one
+// pins the reference itself, so an execution-model rewrite cannot drift
+// all configurations together. A mismatch is an engine bug: do not
+// regenerate the digests to make it pass.
+var oracleDigests = map[string]string{
+	"WWC2019":       "963c0071917bacdccd78e26ddfba8a4ed6ad3ee106ff6bcb810f5610afdeb18e",
+	"Cybersecurity": "2d7c962ccc82f7ec6428b8d994d464f9ad58a18710fa4645314d92e80835c62e",
+	"Twitter":       "5d4e32a22fedc36d4ca52f4a56557ecc8cda717eb898fe4956a8cfcb304abf06",
+}
+
+func TestOracleReferenceDigest(t *testing.T) {
+	for _, name := range datasets.Names() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			gen, err := datasets.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := gen(datasets.Options{Seed: 42, ViolationRate: 0.03})
+			sch := newOracleSchema(g)
+			rng := rand.New(rand.NewSource(1))
+			corpus := sch.fixedCorpus()
+			for i := 0; i < 60; i++ {
+				corpus = append(corpus, sch.randomQuery(rng))
+			}
+			ref := newOracleExecutor(g, oracleConfig{shard: 0, reorder: false, pushdown: true})
+			h := sha256.New()
+			for _, q := range corpus {
+				rows, errStr := oracleRun(ref, q)
+				fmt.Fprintf(h, "%s\x00err=%v\x00%d\x00", q, errStr != "", len(rows))
+				for _, r := range rows {
+					fmt.Fprintf(h, "%s\x00", r)
+				}
+			}
+			got := hex.EncodeToString(h.Sum(nil))
+			if want := oracleDigests[name]; got != want {
+				t.Fatalf("reference digest over %d queries = %s, want %s", len(corpus), got, want)
+			}
+		})
 	}
 }

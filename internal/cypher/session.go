@@ -7,11 +7,11 @@ package cypher
 // connection discipline) and optionally one explicit transaction.
 //
 // Streaming: Run executes the query on a dedicated goroutine and returns
-// immediately with a Cursor; rows flow through a bounded channel, so a
-// slow consumer backpressures the scan instead of materializing the
-// result (stream.go). Queries outside the streaming plan shape fall back
-// to the materialized executor and their rows are replayed through the
-// same channel — the Cursor contract is identical either way.
+// immediately with a Cursor. Every query runs as one operator pipeline
+// (pipeline.go) whose rows flow through a bounded channel as they are
+// produced, so a slow consumer backpressures the scan instead of the
+// result materializing (stream.go); only breakers (grouping, ORDER BY,
+// the eager barrier before a write) retain rows.
 //
 // Admission: when the Executor carries an admission controller, Run
 // admits synchronously — callers see AdmissionRejectedError before any
@@ -137,18 +137,6 @@ func (s *Session) Run(cctx context.Context, src string, params map[string]graph.
 		res, rerr := s.ex.executeProtected(ctx, fork, q, params, c.sink)
 		if res != nil {
 			res.Exec.PlanCacheHit = hit
-		}
-		if rerr == nil && res != nil && !res.Exec.Streamed {
-			// Materialized fallback: replay the collected rows through the
-			// cursor channel so consumers see one contract.
-			c.sink.publishColumns(res.Columns)
-			for _, r := range res.Rows {
-				if e := c.sink.emit(r); e != nil {
-					rerr = e
-					break
-				}
-			}
-			res.Rows = nil
 		}
 		c.res, c.err = res, rerr
 		close(c.sink.rows)
@@ -336,8 +324,9 @@ func (c *Cursor) Next() bool {
 func (c *Cursor) Record() []Datum { return c.cur }
 
 // Columns returns the result header, blocking until the run has
-// determined it (immediately for streamed plans; at completion for
-// materialized fallbacks that fail before projecting).
+// determined it: at once for a RETURN of named items, at the first row
+// for RETURN *, and at completion for a run that fails first or has no
+// RETURN.
 func (c *Cursor) Columns() []string {
 	if c.colsOK {
 		return c.cols

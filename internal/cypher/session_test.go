@@ -3,6 +3,7 @@ package cypher
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -29,31 +30,40 @@ func drain(c *Cursor) ([][]Datum, error) {
 	return rows, c.Err()
 }
 
+// TestSessionStreamedRun: rows reach the cursor while the run is still
+// going. The result is far larger than the cursor's buffer, so after the
+// first row the producer must still be blocked on the unread rest.
 func TestSessionStreamedRun(t *testing.T) {
-	ex := NewExecutor(sessionGraph(10))
+	const n = 10 * streamBuffer
+	ex := NewExecutor(sessionGraph(n))
 	s := ex.OpenSession()
 	defer s.Close()
 
-	c, err := s.Run(context.Background(), `MATCH (n:N) RETURN n.i AS i`, nil)
+	c, err := s.Run(context.Background(), `MATCH (n:N) WITH n.i AS i RETURN i`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cols := c.Columns(); len(cols) != 1 || cols[0] != "i" {
 		t.Fatalf("columns = %v", cols)
 	}
+	if !c.Next() {
+		t.Fatal("no first row")
+	}
+	select {
+	case <-c.fin:
+		t.Fatal("run finished before the consumer read past the first row: rows were materialized")
+	default:
+	}
 	rows, err := drain(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 10 {
-		t.Fatalf("rows = %d, want 10", len(rows))
+	if len(rows)+1 != n {
+		t.Fatalf("rows = %d, want %d", len(rows)+1, n)
 	}
 	res, err := c.Summary()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !res.Exec.Streamed {
-		t.Fatalf("expected streamed execution, got:\n%s", res.Exec.String())
 	}
 	if res.Rows != nil {
 		t.Fatalf("streamed summary should not retain rows")
@@ -78,9 +88,9 @@ func TestSessionStreamSkipLimit(t *testing.T) {
 	}
 }
 
-// TestSessionMaterializedFallback runs an aggregate (outside the stream
-// plan shape) and expects identical cursor behaviour via the replay path.
-func TestSessionMaterializedFallback(t *testing.T) {
+// TestSessionStreamAggregate: an aggregate's grouping operator drains its
+// input and streams its one row through the cursor.
+func TestSessionStreamAggregate(t *testing.T) {
 	ex := NewExecutor(sessionGraph(10))
 	s := ex.OpenSession()
 	defer s.Close()
@@ -96,9 +106,8 @@ func TestSessionMaterializedFallback(t *testing.T) {
 	if len(rows) != 1 || rows[0][0].Val.Int() != 10 {
 		t.Fatalf("rows = %v", rows)
 	}
-	res, _ := c.Summary()
-	if res.Exec.Streamed {
-		t.Fatalf("aggregate should not take the streaming plan")
+	if res, _ := c.Summary(); res.Rows != nil {
+		t.Fatalf("cursor summary should not retain rows")
 	}
 }
 
@@ -364,14 +373,21 @@ func TestSessionCloseRollsBack(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesMaterialized cross-checks the streaming plan against
-// the classic executor on the same query.
+// TestStreamMatchesMaterialized cross-checks a session cursor against
+// RunCtx on the same query: both run the one pipeline, so columns and
+// rows must agree exactly, for streamed shapes and breakers alike.
 func TestStreamMatchesMaterialized(t *testing.T) {
 	g := sessionGraph(50)
 	queries := []string{
 		`MATCH (n:N) RETURN n.i AS i`,
 		`MATCH (n:N) WHERE n.i > 25 RETURN n.i AS i`,
 		`MATCH (n:N) RETURN n.i AS a, n.i AS a`, // column dedup
+		`MATCH (n:N) WITH n.i % 7 AS k, count(*) AS c RETURN k, c ORDER BY c DESC, k`,
+		`MATCH (n:N) RETURN DISTINCT n.i % 5 AS k SKIP 1 LIMIT 3`,
+		`MATCH (n:N) WITH n ORDER BY n.i DESC LIMIT 4 RETURN n.i AS i`,
+		`UNWIND [3, 1, 2] AS x MATCH (n:N) WHERE n.i = x RETURN x, n.i AS i`,
+		`MATCH (n:N) OPTIONAL MATCH (n)-[:R]->(m) RETURN n.i AS i, m ORDER BY i LIMIT 3`,
+		`MATCH (n:N) RETURN *`,
 	}
 	for _, q := range queries {
 		ref, err := NewExecutor(g).Run(q, nil)
@@ -388,16 +404,11 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: drain: %v", q, err)
 		}
-		if len(cols) != len(ref.Columns) {
+		if !reflect.DeepEqual(cols, ref.Columns) {
 			t.Fatalf("%s: cols %v vs %v", q, cols, ref.Columns)
 		}
-		for i := range cols {
-			if cols[i] != ref.Columns[i] {
-				t.Fatalf("%s: cols %v vs %v", q, cols, ref.Columns)
-			}
-		}
-		if len(rows) != len(ref.Rows) {
-			t.Fatalf("%s: %d rows vs %d", q, len(rows), len(ref.Rows))
+		if got, want := renderRows(&Result{Rows: rows}), renderRows(ref); !rowsEqual(got, want) {
+			t.Fatalf("%s: cursor rows %v\nRunCtx rows %v", q, got, want)
 		}
 		s.Close()
 	}

@@ -18,9 +18,10 @@ import (
 // pool behind one contiguous chunk). Because the morsels partition the
 // serial candidate sequence contiguously and outputs are reassembled in
 // tag order, concatenating per-morsel rows reproduces exactly the serial
-// row order — including collect() element order and DISTINCT dedup — and
-// merging per-morsel aggregate states in tag order reproduces the serial
-// accumulation.
+// row order, and merging per-morsel grouping tables in tag order
+// reproduces the serial accumulation, collect() element order and
+// DISTINCT dedup included. pipeline.go decides when a MATCH is cut into
+// morsels and what each morsel produces.
 
 // defaultMorselSize is the anchor-candidate count per morsel when the
 // executor has no explicit WithMorselSize configuration. Small enough to
@@ -45,22 +46,6 @@ func recordPlan(m *matcher, plan *matchPlan) {
 	m.exec.PartOrder = append([]int(nil), plan.order...)
 	m.exec.PartEst = append([]float64(nil), plan.est...)
 	m.exec.Reordered = plan.reordered
-}
-
-// anchorUnbound reports whether the first planned part anchors on a variable
-// not already bound in row — the precondition for partitioning the anchor
-// scan. A bound anchor means the scan has exactly one candidate and there is
-// nothing to shard.
-func anchorUnbound(parts []*PatternPart, row Row) bool {
-	if len(parts) == 0 {
-		return false
-	}
-	np := parts[0].Nodes[0]
-	if np.Var == "" {
-		return true
-	}
-	_, bound := row[np.Var]
-	return !bound
 }
 
 // morselCut splits the candidate slice into contiguous morsels of at most
@@ -129,101 +114,6 @@ func mergeWorkerStats(dst, src *ExecStats, seen map[seekIdent]bool) {
 	}
 }
 
-// matchAllAnchored is matchAll restricted to a pre-enumerated anchor
-// candidate slice for the first part. It shares one relationship-uniqueness
-// scope across all parts (per-MATCH semantics) and accounts the RowsScanned
-// for the slice it walks; the caller performed the anchor enumeration (and
-// recorded any index seek) exactly once for all morsels.
-//
-// The loop is batched: per-candidate work that is constant across the slice
-// is hoisted out. Stats accounting happens once up front, the cancellation
-// poll runs on a candidate stride instead of per candidate, and the
-// anchor's property constraints — which depend only on the outer row, never
-// on the (unbound) anchor variable — are evaluated once, on the first
-// candidate that passes the label check, so the rest of the slice reduces
-// to direct scalar comparisons. Evaluating lazily on the first
-// label-passing candidate (rather than eagerly per slice) preserves the
-// serial error surface: a slice where no candidate carries the labels never
-// evaluates the property expressions, exactly like the serial path.
-func (m *matcher) matchAllAnchored(parts []*PatternPart, cands []*graph.Node, row Row, cb func(Row) error) error {
-	if len(cands) == 0 {
-		return nil
-	}
-	if m.exec != nil {
-		m.exec.RowsScanned += len(cands)
-	}
-	first := parts[0]
-	np := first.Nodes[0]
-	used := map[graph.ID]bool{}
-
-	// rest continues with parts[1:] once part 0 is fully matched.
-	rest := func(r Row) error {
-		var rec func(i int, r Row) error
-		rec = func(i int, r Row) error {
-			if i == len(parts) {
-				return cb(r)
-			}
-			return m.matchPart(parts[i], r, used, func(r2 Row) error {
-				return rec(i+1, r2)
-			})
-		}
-		return rec(1, r)
-	}
-
-	type propWant struct {
-		key  string
-		want graph.Value
-	}
-	var wants []propWant
-	wantsReady := len(np.Props) == 0
-
-candidates:
-	for i, n := range cands {
-		if i&15 == 0 {
-			if err := m.pollCtx(); err != nil {
-				return err
-			}
-		}
-		for _, l := range np.Labels {
-			if !n.HasLabel(l) {
-				continue candidates
-			}
-		}
-		if !wantsReady {
-			wants = make([]propWant, 0, len(np.Props))
-			for k, e := range np.Props {
-				want, err := m.ctx.eval(e, row)
-				if err != nil {
-					return err
-				}
-				wants = append(wants, propWant{key: k, want: want.Scalar()})
-			}
-			wantsReady = true
-		}
-		for _, pw := range wants {
-			if !n.Prop(pw.key).Equal(pw.want) {
-				continue candidates
-			}
-		}
-		var err error
-		if np.Var != "" {
-			row[np.Var] = NodeDatum(n)
-		}
-		if len(first.Rels) == 0 {
-			err = rest(row)
-		} else {
-			err = m.expandRel(first, 0, n, row, used, rest)
-		}
-		if np.Var != "" {
-			delete(row, np.Var)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // shardWorker is the per-worker private state: its own matcher (stats
 // sink), evaluation context (the expression regex cache is not thread-safe,
 // so contexts are never shared across workers) and working row. One worker
@@ -285,27 +175,33 @@ func (ex *Executor) scanMorsels(ctx *evalCtx, m *matcher, proto Row, nMorsels in
 	errs := make([]error, nMorsels)
 	workerStats := make([]*ExecStats, workers)
 	var next atomic.Int64
+	work := func(wi int) {
+		w := ex.newShardWorker(m.g, ctx.params, m.pushdown, m.ranges, cctx, m.bud)
+		w.row = proto.clone()
+		workerStats[wi] = w.m.exec
+		for cctx.Err() == nil {
+			mi := int(next.Add(1)) - 1
+			if mi >= nMorsels {
+				return
+			}
+			if err := runMorsel(fn, w, mi); err != nil {
+				errs[mi] = err
+				cancel()
+				return
+			}
+		}
+	}
+	// The calling goroutine is worker 0: it is already running, so the
+	// first morsels start without waiting for a goroutine to be scheduled.
 	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
+	for wi := 1; wi < workers; wi++ {
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
-			w := ex.newShardWorker(m.g, ctx.params, m.pushdown, m.ranges, cctx, m.bud)
-			w.row = proto.clone()
-			workerStats[wi] = w.m.exec
-			for cctx.Err() == nil {
-				mi := int(next.Add(1)) - 1
-				if mi >= nMorsels {
-					return
-				}
-				if err := runMorsel(fn, w, mi); err != nil {
-					errs[mi] = err
-					cancel()
-					return
-				}
-			}
+			work(wi)
 		}(wi)
 	}
+	work(0)
 	wg.Wait()
 
 	if m.exec != nil {
@@ -354,117 +250,4 @@ func runMorsel(fn func(w *shardWorker, mi int) error, w *shardWorker, mi int) (e
 		}
 	}()
 	return fn(w, mi)
-}
-
-// recordMorselStats publishes the shard/morsel metadata of the last sharded
-// clause. Called on success and error paths alike: a failed scan still
-// reports how its anchor range was cut and what each morsel produced before
-// the cancellation (unprocessed morsels report zero).
-func recordMorselStats(m *matcher, workers, nMorsels, size int, perMorselRows []int) {
-	if m.exec == nil {
-		return
-	}
-	m.exec.Sharded = true
-	m.exec.ShardWorkers = workers
-	m.exec.ShardRows = perMorselRows
-	m.exec.Morsels = nMorsels
-	m.exec.MorselSize = size
-}
-
-// execMatchSharded runs one MATCH clause with the anchor scan cut into
-// morsels and executed by the work-stealing pool. Eligibility (single input
-// row, unbound anchor) is checked by the caller. Per-morsel outputs are
-// concatenated in tag order, which preserves the serial row order because
-// the morsels partition the candidate sequence contiguously.
-func (ex *Executor) execMatchSharded(ctx *evalCtx, m *matcher, cl *MatchClause, plan *matchPlan, newVars []string, row Row, st *Stats) ([]Row, error) {
-	st.RowsExamined++
-	cands := m.anchorCandidates(plan.parts[0])
-	size := ex.morselCap()
-	morsels := morselCut(cands, size)
-
-	outs := make([][]Row, len(morsels))
-	err := ex.scanMorsels(ctx, m, row, len(morsels), func(w *shardWorker, mi int) error {
-		return w.m.matchAllAnchored(plan.parts, morsels[mi], w.row, func(r Row) error {
-			if cl.Where != nil {
-				t, err := w.ctx.evalBool(cl.Where, r)
-				if err != nil {
-					return err
-				}
-				if t != triTrue {
-					return nil
-				}
-			}
-			if err := w.m.bud.chargeRow(r); err != nil {
-				return err
-			}
-			outs[mi] = append(outs[mi], r.clone())
-			return nil
-		})
-	})
-
-	morselRows := make([]int, len(morsels))
-	var out []Row
-	for mi := range outs {
-		morselRows[mi] = len(outs[mi])
-		out = append(out, outs[mi]...)
-	}
-	recordMorselStats(m, ex.shardWorkers, len(morsels), size, morselRows)
-	if err != nil {
-		return nil, err
-	}
-	if len(out) == 0 && cl.Optional {
-		r := row.clone()
-		for _, v := range newVars {
-			if _, bound := r[v]; !bound {
-				r[v] = NullDatum
-			}
-		}
-		if err := m.bud.chargeRow(r); err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// shardAggregate is the sharded count-aggregate fast path: each morsel
-// streams its matches into a private aggregate state and the states are
-// merged in tag order into a fresh final state, reproducing the serial
-// accumulation (including DISTINCT dedup and collect order).
-func (ex *Executor) shardAggregate(ctx *evalCtx, m *matcher, plan *matchPlan, where Expr, fc *FuncCall) (*aggState, error) {
-	cands := m.anchorCandidates(plan.parts[0])
-	size := ex.morselCap()
-	morsels := morselCut(cands, size)
-
-	states := make([]*aggState, len(morsels))
-	morselRows := make([]int, len(morsels))
-	err := ex.scanMorsels(ctx, m, Row{}, len(morsels), func(w *shardWorker, mi int) error {
-		st := newAggState(fc)
-		states[mi] = st
-		return w.m.matchAllAnchored(plan.parts, morsels[mi], w.row, func(r Row) error {
-			if where != nil {
-				t, err := w.ctx.evalBool(where, r)
-				if err != nil {
-					return err
-				}
-				if t != triTrue {
-					return nil
-				}
-			}
-			morselRows[mi]++
-			return st.add(w.ctx, r)
-		})
-	})
-
-	recordMorselStats(m, ex.shardWorkers, len(morsels), size, morselRows)
-	if err != nil {
-		return nil, err
-	}
-	final := newAggState(fc)
-	for _, st := range states {
-		if err := final.merge(st); err != nil {
-			return nil, err
-		}
-	}
-	return final, nil
 }

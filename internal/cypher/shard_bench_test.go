@@ -25,7 +25,7 @@ func benchGraph(b *testing.B) *Executor {
 func benchQuery(b *testing.B, query string, workers int) {
 	b.Helper()
 	ex := benchGraph(b)
-	ex.SetShardWorkers(workers)
+	WithShardWorkers(workers)(ex)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ex.Run(query, nil); err != nil {

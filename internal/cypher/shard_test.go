@@ -87,12 +87,9 @@ func TestShardedRowOrderMatchesSerial(t *testing.T) {
 		`MATCH (p:Person) OPTIONAL MATCH (p)-[:TAGGED]->(t:Tag) RETURN p.idx, t.decade`,
 		`MATCH (a:Person)-[:NEXT]->(b)-[:NEXT]->(c) RETURN a.idx, c.idx`,
 	}
-	serial := NewExecutor(g)
-	serial.SetReorder(false)
+	serial := NewExecutor(g, WithReorder(false))
 	for _, workers := range []int{1, 2, 3, 8, 64} {
-		ex := NewExecutor(g)
-		ex.SetShardWorkers(workers)
-		ex.SetReorder(false)
+		ex := NewExecutor(g, WithShardWorkers(workers), WithReorder(false))
 		for _, q := range queries {
 			want, wantErr := oracleRun(serial, q)
 			got, gotErr := oracleRun(ex, q)
@@ -114,12 +111,9 @@ func TestShardedCollectOrderDeterministic(t *testing.T) {
 		`MATCH (p:Person) RETURN collect(p.idx) AS xs`,
 		`MATCH (a:Person)-[:NEXT]->(b:Person) RETURN count(*) AS n, collect(b.idx) AS xs`,
 	}
-	serial := NewExecutor(g)
-	serial.SetReorder(false)
+	serial := NewExecutor(g, WithReorder(false))
 	for _, workers := range []int{1, 2, 8} {
-		ex := NewExecutor(g)
-		ex.SetShardWorkers(workers)
-		ex.SetReorder(false)
+		ex := NewExecutor(g, WithShardWorkers(workers), WithReorder(false))
 		for _, q := range queries {
 			want, _ := oracleRun(serial, q)
 			got, _ := oracleRun(ex, q)
@@ -179,8 +173,7 @@ func TestShardedExecStats(t *testing.T) {
 // (executors hold no candidate caches across runs).
 func TestShardedSeesMutations(t *testing.T) {
 	g := chainGraph(50)
-	ex := NewExecutor(g)
-	ex.SetShardWorkers(4)
+	ex := NewExecutor(g, WithShardWorkers(4))
 	count := func() int64 {
 		res, err := ex.Run(`MATCH (p:Person) RETURN count(*) AS n`, nil)
 		if err != nil {

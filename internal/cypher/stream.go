@@ -1,28 +1,45 @@
 package cypher
 
-// Streaming execution: the engine-side half of the Session/Cursor API.
+// Streaming delivery: the engine-side half of the Session/Cursor API.
 //
-// The classic executor materializes every clause's output rows before the
-// caller sees anything, which is the wrong shape for a wire protocol —
-// Bolt streams RECORD messages under client-driven flow control, and a
-// query returning a million rows should not retain them all server-side.
-// streamFastPlan recognizes the transport workload's canonical read shape
-//
-//	MATCH ... [WHERE ...] RETURN <non-aggregate items> [SKIP n] [LIMIT n]
-//
-// and execMatchStream pipelines it end to end: each pattern match is
-// projected and handed to the cursor's sink immediately, so the first row
-// reaches the client while the scan is still running, result memory is
-// O(channel buffer), and LIMIT stops the scan as soon as it is satisfied
-// instead of scanning to completion. Queries outside the shape (WITH,
-// aggregation, ORDER BY, DISTINCT, mutations, sharded executors) fall back
-// to the materialized path and the cursor drains Result.Rows — observable
-// behaviour is identical either way, only the delivery cadence differs.
+// Every query runs as one operator pipeline (pipeline.go) that ends in a
+// row sink. A Session cursor's sink is streamSink: each projected row goes
+// to the cursor through a bounded channel the moment the pipeline
+// produces it, so the first row reaches a Bolt client while the scan is
+// still running, a slow consumer backpressures the scan, and a LIMIT
+// stops it once satisfied. Rows retained server-side are only those a
+// breaker needs (grouping, ORDER BY, the eager barrier before a write).
+// RunCtx uses the same pipeline with collectSink instead.
 
 import (
 	"context"
-	"errors"
+	"slices"
 )
+
+// rowSink receives a query's result: its columns once known, then each
+// projected row. streamSink feeds a Cursor; collectSink fills
+// Result.Rows.
+type rowSink interface {
+	columns(cols []string)
+	emit(vals []Datum) error
+}
+
+// collectSink is the sink behind RunCtx and ExecuteCtx: a Result is a
+// drained cursor.
+type collectSink struct{ res *Result }
+
+func (s collectSink) columns([]string) {}
+
+func (s collectSink) emit(vals []Datum) error {
+	rows := s.res.Rows
+	if len(rows) == cap(rows) {
+		// Double the capacity: append grows large slices by ~1.25x, which
+		// re-copies the row headers of a big result several times over.
+		rows = slices.Grow(rows, len(rows)+1)
+	}
+	s.res.Rows = append(rows, vals)
+	return nil
+}
 
 // streamSink carries rows from an executing query to its Cursor. Emission
 // blocks when the channel buffer is full — that backpressure is what lets
@@ -47,9 +64,9 @@ func newStreamSink(cctx context.Context) *streamSink {
 	}
 }
 
-// publishColumns announces the result header. It is delivered at most
-// once; the cursor's Columns() blocks on it.
-func (s *streamSink) publishColumns(cols []string) {
+// columns announces the result header. It is delivered at most once; the
+// cursor's Columns() blocks on it.
+func (s *streamSink) columns(cols []string) {
 	select {
 	case s.cols <- cols:
 	default:
@@ -64,135 +81,4 @@ func (s *streamSink) emit(row []Datum) error {
 	case <-s.cctx.Done():
 		return s.cctx.Err()
 	}
-}
-
-// streamFastPlan recognizes a single non-optional MATCH followed by a
-// RETURN of plain (non-aggregate) items with optional SKIP/LIMIT — the
-// shape execMatchStream can pipeline without materializing rows. Star
-// projections, DISTINCT and ORDER BY need the full row set and fall back.
-func streamFastPlan(q *Query) (*MatchClause, *ReturnClause, bool) {
-	if len(q.Clauses) != 2 {
-		return nil, nil, false
-	}
-	mc, ok := q.Clauses[0].(*MatchClause)
-	if !ok || mc.Optional {
-		return nil, nil, false
-	}
-	rc, ok := q.Clauses[1].(*ReturnClause)
-	if !ok {
-		return nil, nil, false
-	}
-	p := &rc.Projection
-	if p.Star || p.Distinct || len(p.OrderBy) > 0 || len(p.Items) == 0 {
-		return nil, nil, false
-	}
-	for _, it := range p.Items {
-		if ContainsAggregate(it.Expr) {
-			return nil, nil, false
-		}
-	}
-	return mc, rc, true
-}
-
-// projectionCols names the output columns of a projection item list,
-// deduplicating exactly like the materialized projector.
-func projectionCols(items []*ReturnItem) []string {
-	cols := make([]string, len(items))
-	seen := map[string]bool{}
-	for i, it := range items {
-		name := it.Name()
-		for seen[name] {
-			name += "_"
-		}
-		seen[name] = true
-		cols[i] = name
-	}
-	return cols
-}
-
-// execMatchStream runs the streaming plan: pattern matches are WHERE-
-// filtered, projected, charged against the row/memory budget and emitted
-// to the sink one at a time. SKIP drops the first n projected rows and
-// LIMIT aborts the scan once satisfied (errStopMatching), so a LIMIT 10
-// over a million-node label scans only as far as its tenth match.
-func (ex *Executor) execMatchStream(ctx *evalCtx, m *matcher, mc *MatchClause, rc *ReturnClause, res *Result, sink *streamSink) error {
-	p := &rc.Projection
-	items := p.Items
-	cols := projectionCols(items)
-
-	skip := 0
-	limit := -1
-	if p.Skip != nil {
-		n, err := ex.evalPosInt(ctx, p.Skip, "SKIP")
-		if err != nil {
-			return err
-		}
-		skip = n
-	}
-	if p.Limit != nil {
-		n, err := ex.evalPosInt(ctx, p.Limit, "LIMIT")
-		if err != nil {
-			return err
-		}
-		limit = n
-	}
-
-	res.Columns = cols
-	res.Exec.Streamed = true
-	sink.publishColumns(cols)
-
-	if limit == 0 {
-		return nil
-	}
-
-	m.ranges = ex.clauseRanges(mc.Where)
-	plan := ex.planMatch(mc.Patterns, nil, m.ranges)
-	recordPlan(m, plan)
-	res.Stats.RowsExamined++
-
-	emitted := 0
-	err := m.matchAll(plan.parts, Row{}, func(r Row) error {
-		if mc.Where != nil {
-			t, err := ctx.evalBool(mc.Where, r)
-			if err != nil {
-				return err
-			}
-			if t != triTrue {
-				return nil
-			}
-		}
-		if skip > 0 {
-			skip--
-			return nil
-		}
-		vals := make([]Datum, len(items))
-		for i, it := range items {
-			d, err := ctx.eval(it.Expr, r)
-			if err != nil {
-				return err
-			}
-			vals[i] = d
-		}
-		// A streamed row is never retained server-side, but it still counts
-		// against the row cap (the budget bounds client-visible output) and
-		// charges the channel-resident estimate against memory.
-		if err := m.bud.chargeRows(1); err != nil {
-			return err
-		}
-		if err := m.bud.chargeMem(int64(len(vals)) * 64); err != nil {
-			return err
-		}
-		if err := sink.emit(vals); err != nil {
-			return err
-		}
-		emitted++
-		if limit >= 0 && emitted >= limit {
-			return errStopMatching
-		}
-		return nil
-	})
-	if err != nil && !errors.Is(err, errStopMatching) {
-		return err
-	}
-	return nil
 }

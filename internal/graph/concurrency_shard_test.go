@@ -85,8 +85,7 @@ func TestShardedExecuteUnderMutation(t *testing.T) {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
-			ex := cypher.NewExecutor(g)
-			ex.SetShardWorkers(4)
+			ex := cypher.NewExecutor(g, cypher.WithShardWorkers(4))
 			for i := 0; i < 12; i++ {
 				q := queries[(i+r)%len(queries)]
 				if _, err := ex.Run(q, nil); err != nil {

@@ -49,14 +49,6 @@ func NewScorer(g *graph.Graph, opts ...cypher.Option) *Scorer {
 // Executor exposes the scorer's shared executor (for cache stats).
 func (s *Scorer) Executor() *cypher.Executor { return s.ex }
 
-// SetShardWorkers configures sharded MATCH execution on the scorer's shared
-// executor: eligible anchor scans inside each metric query are partitioned
-// across n workers (0 = serial). This parallelism is within one query and
-// composes with the rule-level worker pool of EvaluateRulesParallel.
-//
-// Deprecated: pass cypher.WithShardWorkers(n) to NewScorer instead.
-func (s *Scorer) SetShardWorkers(n int) { s.ex.SetShardWorkers(n) }
-
 // EvaluateQueries runs a rule's three metric queries. Every query must
 // return a row whose column `n` (or sole column) holds a numeric count —
 // a missing, NULL, or non-numeric count is an error, never a silent zero.
